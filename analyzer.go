@@ -455,6 +455,7 @@ func (a *Analyzer) runJob(job idise.Job, resultCfg symexec.Config, modProg *ast.
 		modProg:                  modProg,
 		procName:                 procName,
 	}
+	out.Stats.PruneStats = res.Prune
 	for _, p := range res.Summary.Paths {
 		out.Paths = append(out.Paths, PathInfo{PathCondition: p.PCString, AssertViolated: p.Err})
 	}

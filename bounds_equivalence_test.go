@@ -49,9 +49,9 @@ func TestGenerousBoundsMatchUnbounded(t *testing.T) {
 						i, art.Versions[i-1].Name, got, want)
 				}
 				mB, mU := resB.Stats.Memo, resU.Stats.Memo
-				if mB.StatesReplayed != mU.StatesReplayed || mB.MemoHits != mU.MemoHits {
+				if mB.MemoStatesReplayed != mU.MemoStatesReplayed || mB.MemoHits != mU.MemoHits {
 					t.Fatalf("step %d (%s): generous bounds perturbed the warm path: bounded replayed %d / hit %d, unbounded replayed %d / hit %d",
-						i, art.Versions[i-1].Name, mB.StatesReplayed, mB.MemoHits, mU.StatesReplayed, mU.MemoHits)
+						i, art.Versions[i-1].Name, mB.MemoStatesReplayed, mB.MemoHits, mU.MemoStatesReplayed, mU.MemoHits)
 				}
 				if mB.NodesEvicted != 0 {
 					t.Fatalf("step %d: generous node budget evicted %d nodes", i, mB.NodesEvicted)

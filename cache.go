@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dise/internal/cfg"
+	"dise/internal/constraint"
 	"dise/internal/lang/ast"
 	"dise/internal/lang/parser"
 	"dise/internal/lang/types"
@@ -42,26 +43,21 @@ func (c *cachedProgram) graph(proc *ast.Procedure) *cfg.Graph {
 // CacheStats reports the effectiveness and footprint of an Analyzer's
 // parse/CFG cache. Bytes is an approximate retained size (a documented
 // multiple of the cached source lengths — the AST, type info and CFGs scale
-// with the source); Evictions counts entries pushed out by either bound.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes_approx"`
-	Evictions int64 `json:"evictions"`
-}
+// with the source); Evictions counts entries pushed out by either bound. It
+// is the same report as the solver prefix cache's (SolverCacheStats).
+type CacheStats = constraint.CacheStats
 
 // programCache is a bounded, concurrency-safe LRU of parsed programs keyed
 // by the SHA-256 of their source text. The entry-count capacity always
 // applies; an approximate byte budget (maxBytes > 0) additionally evicts
 // least-recently-used entries when the estimated retained size overflows.
 type programCache struct {
-	mu       sync.Mutex
-	capacity int
-	maxBytes int64
-	bytes    int64
-	entries  map[[sha256.Size]byte]*list.Element
-	lru      *list.List // of *cacheSlot, front = most recent
+	mu        sync.Mutex
+	capacity  int
+	maxBytes  int64
+	bytes     int64
+	entries   map[[sha256.Size]byte]*list.Element
+	lru       *list.List // of *cacheSlot, front = most recent
 	hits      int64
 	misses    int64
 	evictions int64

@@ -174,6 +174,12 @@ func main() {
 	fmt.Printf("search:               %s strategy, %d exploration worker(s)\n",
 		res.Stats.SearchStrategy, res.Stats.ExploreParallelism)
 	fmt.Printf("states explored:      %d\n", res.Stats.StatesExplored)
+	if n := res.Stats.DepthBoundHits; n > 0 {
+		fmt.Printf("depth-bound cuts:     %d (paths cut at the depth bound)\n", n)
+	}
+	if res.Stats.MaxStatesHit {
+		fmt.Println("max-states cut:       exploration stopped at the state cap")
+	}
 	fmt.Printf("solver calls:         %d\n", res.Stats.SolverCalls)
 	ss := res.Stats.Solver
 	fmt.Printf("solver [%s]:    %d checks (%d sat / %d unsat / %d unknown), %d frames pushed, %d cache hits, %d model reuses\n",
@@ -334,7 +340,7 @@ func runChain(ctx context.Context, cfg chainConfig) {
 		fmt.Printf("step %2d  %-8s %4dms  paths %4d  changed nodes %2d  solver checks %4d\n",
 			m.Step, names[i], elapsed, len(res.Paths), res.ChangedNodes, res.Stats.Solver.Checks)
 		fmt.Printf("         memo: %d hits · %d states replayed / %d live · trie %d nodes (%d kept, %d invalidated)\n",
-			m.MemoHits, m.StatesReplayed, m.StatesExploredLive, m.TrieNodes, m.NodesKept, m.NodesInvalidated)
+			m.MemoHits, m.MemoStatesReplayed, m.MemoStatesLive, m.TrieNodes, m.NodesKept, m.NodesInvalidated)
 	}
 	if cfg.asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -68,6 +68,12 @@ func main() {
 	fmt.Printf("search:          %s strategy, %d exploration worker(s)\n",
 		sum.Stats.SearchStrategy, sum.Stats.ExploreParallelism)
 	fmt.Printf("states explored: %d\n", sum.Stats.StatesExplored)
+	if n := sum.Stats.DepthBoundHits; n > 0 {
+		fmt.Printf("depth-bound cuts: %d (paths cut at the depth bound)\n", n)
+	}
+	if sum.Stats.MaxStatesHit {
+		fmt.Println("max-states cut:  exploration stopped at the state cap")
+	}
 	fmt.Printf("solver calls:    %d\n", sum.Stats.SolverCalls)
 	fmt.Printf("time:            %dms\n", sum.Stats.TimeMilliseconds)
 	fmt.Printf("path conditions: %d\n", len(sum.Paths))

@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"dise/internal/artifacts"
+	"dise/internal/constraint"
 	idise "dise/internal/dise"
 	"dise/internal/inline"
 	"dise/internal/lang/ast"
@@ -108,17 +109,25 @@ type PathInfo struct {
 }
 
 // Stats summarizes the cost of a symbolic execution run (the dependent
-// variables of the paper's evaluation, §4.2.2).
+// variables of the paper's evaluation, §4.2.2). The counter groups are the
+// engine's, the pruner's and the solver's own structs, passed through
+// unchanged; their JSON tags are the keys of the result.
 type Stats struct {
-	StatesExplored     int   `json:"states_explored"`
-	PathConditions     int   `json:"path_conditions"`
-	InfeasibleBranches int   `json:"infeasible_branches"`
-	TimeMilliseconds   int64 `json:"time_ms"`
-	SolverCalls        int   `json:"solver_calls"`
+	// CoreStats and RunStats are the exploration counters: states,
+	// infeasible branches, depth-bound cuts, model hits, collected paths and
+	// whether the MaxStates valve stopped the run.
+	symexec.CoreStats
+	symexec.RunStats
+	PathConditions   int   `json:"path_conditions"`
+	TimeMilliseconds int64 `json:"time_ms"`
+	SolverCalls      int   `json:"solver_calls"`
 	// SearchStrategy and ExploreParallelism echo the exploration-scheduler
 	// configuration the run used (WithSearchStrategy/WithExploreParallelism).
 	SearchStrategy     string `json:"search_strategy"`
 	ExploreParallelism int    `json:"explore_parallelism"`
+	// PruneStats counts the DiSE pruner's work; zero for full symbolic
+	// execution.
+	idise.PruneStats
 	// Solver breaks the solver work down by the incremental machinery of
 	// the constraint subsystem (internal/constraint).
 	Solver SolverStats `json:"solver_stats"`
@@ -155,6 +164,18 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
+// SolverStats is the observability block of the constraint subsystem: how
+// many satisfiability checks ran, how the assertion stack moved with the
+// exploration tree, how many checks the prefix-reuse machinery (cache,
+// witness models, propagation snapshots) answered without a full solve, and
+// the external-solver resilience counters.
+type SolverStats = constraint.Stats
+
+// MergeStats is the observability block of bounded state merging
+// (WithStateMerging): how many join-point fusions the run performed and how
+// much exploration they collapsed.
+type MergeStats = symexec.MergeStats
+
 // MemoStats is the observability block of a version-chain session step: how
 // much of the previous version's recorded execution tree survived the edit,
 // and how many solver decisions were answered from it. Like the solver
@@ -165,14 +186,10 @@ type MemoStats struct {
 	Enabled bool `json:"enabled"`
 	// Step counts Advance calls on the session, starting at 1.
 	Step int `json:"step"`
-	// MemoHits counts branch feasibility decisions answered by a recorded
-	// verdict — decisions made with no constraint.Backend.Check call at all.
-	MemoHits int `json:"memo_hits"`
-	// StatesReplayed counts state expansions served on a matched trie node
-	// with recorded facts; StatesExploredLive counts expansions recorded
-	// fresh (changed, newly reached, or previously pruned regions).
-	StatesReplayed     int `json:"states_replayed"`
-	StatesExploredLive int `json:"states_explored_live"`
+	// MemoStats are the engine's replay counters: decisions answered by a
+	// recorded verdict (MemoHits) and expansions replayed versus recorded
+	// fresh (MemoStatesReplayed, MemoStatesLive).
+	symexec.MemoStats
 	// NodesKept and NodesInvalidated report the diff-driven trie rewrite
 	// that preceded the run: recorded nodes whose statements survived the
 	// edit versus nodes dropped because their statement changed, moved, or
@@ -189,107 +206,6 @@ type MemoStats struct {
 	TrieBytes int64 `json:"trie_bytes"`
 }
 
-// MergeStats is the observability block of bounded state merging
-// (WithStateMerging): how many join-point fusions the run performed and how
-// much exploration they collapsed. Like the solver counters these are cost
-// observability, not outcome — a merged run covers the same affected
-// branches and keeps every path condition solvable (the verdict-equivalence
-// gate, see internal/symexec/merge.go).
-type MergeStats struct {
-	// Enabled distinguishes a merged run from the default per-path mode.
-	Enabled bool `json:"enabled"`
-	// Bound echoes the configured merge bound (MergeUnbounded = fuse every
-	// mergeable sibling set whole; >= 2 = fuse in chunks of at most Bound).
-	Bound int `json:"bound"`
-	// Merges counts join-point fusion operations; each fusion of k sibling
-	// states contributes k-1 to MergedStatesSaved.
-	Merges            int `json:"merges"`
-	MergedStatesSaved int `json:"merged_states_saved"`
-	// IteNodes counts the ite expressions interned while fusing divergent
-	// environment bindings — the footprint merging trades exploration for.
-	IteNodes int `json:"ite_nodes"`
-}
-
-// Add accumulates one run's merge counters into an aggregate. Enabled is a
-// disjunction, Bound keeps the first enabled sample's value, the counters
-// sum.
-func (m *MergeStats) Add(o MergeStats) {
-	if o.Enabled && !m.Enabled {
-		m.Enabled = true
-		m.Bound = o.Bound
-	}
-	m.Merges += o.Merges
-	m.MergedStatesSaved += o.MergedStatesSaved
-	m.IteNodes += o.IteNodes
-}
-
-// SolverStats is the observability block of the constraint subsystem: how
-// many satisfiability checks ran, how the assertion stack moved with the
-// exploration tree, and how many checks the prefix-reuse machinery (cache,
-// witness models, propagation snapshots) answered without a full solve.
-type SolverStats struct {
-	Backend       string `json:"backend"`
-	Checks        int    `json:"checks"`
-	Sat           int    `json:"sat"`
-	Unsat         int    `json:"unsat"`
-	Unknown       int    `json:"unknown"`
-	PushedFrames  int    `json:"pushed_frames"`
-	PoppedFrames  int    `json:"popped_frames"`
-	CacheHits     int    `json:"cache_hits"`
-	CacheMisses   int    `json:"cache_misses"`
-	ModelReuses   int    `json:"model_reuses"`
-	BoxConflicts  int    `json:"box_conflicts"`
-	FullSolves    int    `json:"full_solves"`
-	FrameMemoHits int    `json:"frame_memo_hits"`
-
-	// Resilience counters of the external-solver path ("smtlib" backend,
-	// alone or inside a portfolio). All zero — and omitted from JSON — for
-	// purely in-process backends. Every rung of the degradation ladder
-	// moves one of these; none of them ever moves a verdict.
-	ExtSolves       int `json:"ext_solves,omitempty"`
-	ExtAnswers      int `json:"ext_answers,omitempty"`
-	ExtUnknowns     int `json:"ext_unknowns,omitempty"`
-	ExtTimeouts     int `json:"ext_timeouts,omitempty"`
-	ExtRestarts     int `json:"ext_restarts,omitempty"`
-	ExtBreakerTrips int `json:"ext_breaker_trips,omitempty"`
-	FallbackSolves  int `json:"fallback_solves,omitempty"`
-	MemberFailures  int `json:"member_failures,omitempty"`
-	// CheckPanics counts Backend.Check panics the engine contained
-	// (recovered, reported Unknown, kept exploring).
-	CheckPanics int `json:"check_panics,omitempty"`
-}
-
-// Add accumulates one run's solver counters into an aggregate — the
-// facade-level mirror of constraint.Stats.Add, for services that sum
-// per-request Stats into cumulative totals. The backend name is kept from
-// the first non-empty sample.
-func (s *SolverStats) Add(o SolverStats) {
-	if s.Backend == "" {
-		s.Backend = o.Backend
-	}
-	s.Checks += o.Checks
-	s.Sat += o.Sat
-	s.Unsat += o.Unsat
-	s.Unknown += o.Unknown
-	s.PushedFrames += o.PushedFrames
-	s.PoppedFrames += o.PoppedFrames
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.ModelReuses += o.ModelReuses
-	s.BoxConflicts += o.BoxConflicts
-	s.FullSolves += o.FullSolves
-	s.FrameMemoHits += o.FrameMemoHits
-	s.ExtSolves += o.ExtSolves
-	s.ExtAnswers += o.ExtAnswers
-	s.ExtUnknowns += o.ExtUnknowns
-	s.ExtTimeouts += o.ExtTimeouts
-	s.ExtRestarts += o.ExtRestarts
-	s.ExtBreakerTrips += o.ExtBreakerTrips
-	s.FallbackSolves += o.FallbackSolves
-	s.MemberFailures += o.MemberFailures
-	s.CheckPanics += o.CheckPanics
-}
-
 // Add accumulates one session step's memo counters into an aggregate. In the
 // aggregate, Step counts the enabled (session-step) samples added, and
 // TrieNodes tracks the largest trie observed; the hit/replay/invalidation
@@ -299,9 +215,7 @@ func (m *MemoStats) Add(o MemoStats) {
 		m.Enabled = true
 		m.Step++
 	}
-	m.MemoHits += o.MemoHits
-	m.StatesReplayed += o.StatesReplayed
-	m.StatesExploredLive += o.StatesExploredLive
+	m.MemoStats.Add(o.MemoStats)
 	m.NodesKept += o.NodesKept
 	m.NodesInvalidated += o.NodesInvalidated
 	m.NodesEvicted += o.NodesEvicted
@@ -314,13 +228,13 @@ func (m *MemoStats) Add(o MemoStats) {
 }
 
 // Add accumulates one run's cost statistics into an aggregate (counters
-// sum, the solver/memo blocks aggregate per their own Add semantics); the
+// sum, each block aggregates per its own Add semantics); the
 // strategy/parallelism echo fields keep the first non-zero sample. Services
 // use it to expose cumulative solver_stats/memo_stats across requests.
 func (s *Stats) Add(o Stats) {
-	s.StatesExplored += o.StatesExplored
+	s.CoreStats.Add(o.CoreStats)
+	s.RunStats.Add(o.RunStats)
 	s.PathConditions += o.PathConditions
-	s.InfeasibleBranches += o.InfeasibleBranches
 	s.TimeMilliseconds += o.TimeMilliseconds
 	s.SolverCalls += o.SolverCalls
 	if s.SearchStrategy == "" {
@@ -329,59 +243,24 @@ func (s *Stats) Add(o Stats) {
 	if s.ExploreParallelism == 0 {
 		s.ExploreParallelism = o.ExploreParallelism
 	}
+	s.PruneStats.Add(o.PruneStats)
 	s.Solver.Add(o.Solver)
 	s.Memo.Add(o.Memo)
 	s.Merge.Add(o.Merge)
 }
 
 func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
-	// Echo the values the scheduler resolved, not the raw config.
-	strategy := cfg.ResolvedStrategy()
-	workers := cfg.ResolvedExploreParallelism()
-	var merge MergeStats
-	if cfg.MergeBound != 0 {
-		merge = MergeStats{
-			Enabled:           true,
-			Bound:             cfg.MergeBound,
-			Merges:            s.Merges,
-			MergedStatesSaved: s.MergedStatesSaved,
-			IteNodes:          s.IteNodes,
-		}
-	}
 	return Stats{
-		StatesExplored:     s.StatesExplored,
-		PathConditions:     pcs,
-		InfeasibleBranches: s.InfeasibleBranches,
-		TimeMilliseconds:   s.Time.Milliseconds(),
-		SolverCalls:        s.Solver.Checks,
-		SearchStrategy:     strategy,
-		ExploreParallelism: workers,
-		Solver: SolverStats{
-			Backend:       s.Solver.Backend,
-			Checks:        s.Solver.Checks,
-			Sat:           s.Solver.Sat,
-			Unsat:         s.Solver.Unsat,
-			Unknown:       s.Solver.Unknown,
-			PushedFrames:  s.Solver.PushedFrames,
-			PoppedFrames:  s.Solver.PoppedFrames,
-			CacheHits:     s.Solver.CacheHits,
-			CacheMisses:   s.Solver.CacheMisses,
-			ModelReuses:   s.Solver.ModelReuses,
-			BoxConflicts:  s.Solver.BoxConflicts,
-			FullSolves:    s.Solver.FullSolves,
-			FrameMemoHits: s.Solver.FrameMemoHits,
-
-			ExtSolves:       s.Solver.ExtSolves,
-			ExtAnswers:      s.Solver.ExtAnswers,
-			ExtUnknowns:     s.Solver.ExtUnknowns,
-			ExtTimeouts:     s.Solver.ExtTimeouts,
-			ExtRestarts:     s.Solver.ExtRestarts,
-			ExtBreakerTrips: s.Solver.ExtBreakerTrips,
-			FallbackSolves:  s.Solver.FallbackSolves,
-			MemberFailures:  s.Solver.MemberFailures,
-			CheckPanics:     s.CheckPanics,
-		},
-		Merge: merge,
+		CoreStats:        s.CoreStats,
+		RunStats:         s.RunStats,
+		PathConditions:   pcs,
+		TimeMilliseconds: s.Time.Milliseconds(),
+		SolverCalls:      s.Solver.Checks,
+		// Echo the values the scheduler resolved, not the raw config.
+		SearchStrategy:     cfg.ResolvedStrategy(),
+		ExploreParallelism: cfg.ResolvedExploreParallelism(),
+		Solver:             s.Solver,
+		Merge:              s.Merge,
 	}
 }
 

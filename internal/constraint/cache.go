@@ -206,12 +206,14 @@ func (c *PrefixCache) put(key prefixKey, ent prefixEntry) {
 // CacheStats reports the effectiveness and footprint of a PrefixCache.
 // Bytes is the approximate retained size of the live entries; Evictions
 // counts entries pushed out by either bound, cumulatively.
+// It is also the facade's parse/CFG cache report (dise.CacheStats) and both
+// cache blocks of the service's /metrics.
 type CacheStats struct {
-	Hits      int64
-	Misses    int64
-	Entries   int
-	Bytes     int64
-	Evictions int64
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Entries   int   `json:"entries"`
+	Bytes     int64 `json:"bytes_approx"`
+	Evictions int64 `json:"evictions"`
 }
 
 // Stats snapshots hit/miss counters.

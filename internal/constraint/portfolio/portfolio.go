@@ -249,24 +249,7 @@ func (b *backend) Stats() constraint.Stats {
 	st := b.stats
 	st.Backend = Name
 	for _, m := range b.members {
-		fm := m.backend.Stats()
-		st.CacheHits += fm.CacheHits
-		st.CacheMisses += fm.CacheMisses
-		st.ModelReuses += fm.ModelReuses
-		st.BoxConflicts += fm.BoxConflicts
-		st.FullSolves += fm.FullSolves
-		st.SearchNodes += fm.SearchNodes
-		st.Propagations += fm.Propagations
-		st.BoxSnapshots += fm.BoxSnapshots
-		st.FrameMemoHits += fm.FrameMemoHits
-		st.ExtSolves += fm.ExtSolves
-		st.ExtAnswers += fm.ExtAnswers
-		st.ExtUnknowns += fm.ExtUnknowns
-		st.ExtTimeouts += fm.ExtTimeouts
-		st.ExtRestarts += fm.ExtRestarts
-		st.ExtBreakerTrips += fm.ExtBreakerTrips
-		st.FallbackSolves += fm.FallbackSolves
-		st.MemberFailures += fm.MemberFailures
+		st.AddMember(m.backend.Stats())
 	}
 	return st
 }

@@ -189,6 +189,28 @@ func TestVerdictsMatchIntervalAcrossDefaultMembers(t *testing.T) {
 		p.Pop()
 		ref.Pop()
 	}
+
+	// The portfolio's reuse and resilience counters are its members' sums;
+	// its stack and verdict counters are its own.
+	folded := func(s constraint.Stats) [17]int {
+		return [17]int{s.CacheHits, s.CacheMisses, s.ModelReuses, s.BoxConflicts, s.FullSolves,
+			s.SearchNodes, s.Propagations, s.BoxSnapshots, s.FrameMemoHits,
+			s.ExtSolves, s.ExtAnswers, s.ExtUnknowns, s.ExtTimeouts, s.ExtRestarts,
+			s.ExtBreakerTrips, s.FallbackSolves, s.MemberFailures}
+	}
+	var sum [17]int
+	for _, m := range p.(*backend).members {
+		for i, v := range folded(m.backend.Stats()) {
+			sum[i] += v
+		}
+	}
+	st := p.Stats()
+	if folded(st) != sum {
+		t.Errorf("portfolio counters %v, members' sum %v", folded(st), sum)
+	}
+	if st.ExtUnknowns == 0 || st.FallbackSolves == 0 || st.Checks != len(stacks) {
+		t.Errorf("stats: %+v", st)
+	}
 }
 
 func TestRejectsBadMemberSets(t *testing.T) {

@@ -230,16 +230,7 @@ func (b *backend) Caps() constraint.Caps {
 func (b *backend) Stats() constraint.Stats {
 	st := b.stats
 	st.Backend = Name
-	fb := b.fallback.Stats()
-	st.CacheHits += fb.CacheHits
-	st.CacheMisses += fb.CacheMisses
-	st.ModelReuses += fb.ModelReuses
-	st.BoxConflicts += fb.BoxConflicts
-	st.FullSolves += fb.FullSolves
-	st.SearchNodes += fb.SearchNodes
-	st.Propagations += fb.Propagations
-	st.BoxSnapshots += fb.BoxSnapshots
-	st.FrameMemoHits += fb.FrameMemoHits
+	st.AddMember(b.fallback.Stats())
 	return st
 }
 

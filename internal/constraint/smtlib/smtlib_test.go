@@ -290,6 +290,15 @@ func TestUnknownReplyIsHealthyDegradation(t *testing.T) {
 	if st.ExtRestarts != 1 || st.ExtBreakerTrips != 0 {
 		t.Fatalf("unknown replies are not failures: %+v", st)
 	}
+	// The fallback's reuse counters show through the wrapper unchanged.
+	fb := b.(*backend).fallback.Stats()
+	reuse := func(s constraint.Stats) [9]int {
+		return [9]int{s.CacheHits, s.CacheMisses, s.ModelReuses, s.BoxConflicts, s.FullSolves,
+			s.SearchNodes, s.Propagations, s.BoxSnapshots, s.FrameMemoHits}
+	}
+	if reuse(st) != reuse(fb) || reuse(fb) == ([9]int{}) {
+		t.Fatalf("reuse counters %v, fallback's %v", reuse(st), reuse(fb))
+	}
 }
 
 func TestHangHitsDeadlineAndKills(t *testing.T) {

@@ -70,16 +70,25 @@ type Runner struct {
 }
 
 // PruneStats reports how much work the directed search avoided or discarded.
+// The facade's Result JSON carries these counters at its top level, absent
+// on runs without a pruner (full symbolic execution).
 type PruneStats struct {
 	// PrunedStates counts generated successor states rejected by
 	// AffectedLocIsReachable.
-	PrunedStates int
+	PrunedStates int `json:"pruned_states,omitempty"`
 	// UnaffectedPaths counts explored paths that never touched an affected
 	// node (possible when infeasible branches consume the targets the path
 	// was steering toward); they are not part of DiSE's output.
-	UnaffectedPaths int
+	UnaffectedPaths int `json:"unaffected_paths,omitempty"`
 	// Resets counts explored→unexplored transitions.
-	Resets int
+	Resets int `json:"resets,omitempty"`
+}
+
+// Add accumulates o into p.
+func (p *PruneStats) Add(o PruneStats) {
+	p.PrunedStates += o.PrunedStates
+	p.UnaffectedPaths += o.UnaffectedPaths
+	p.Resets += o.Resets
 }
 
 // NewRunner prepares a directed search. The engine must execute the modified

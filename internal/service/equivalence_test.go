@@ -74,7 +74,7 @@ func TestServiceChainMatchesInProcessSession(t *testing.T) {
 				// The chain must really be warm. Step 1 is exempt: a mutant
 				// that taints every path (WBS/ASW v1) replays nothing on its
 				// first advance — pinned cold==warm above regardless.
-				if i > 1 && got.Stats.Memo.StatesReplayed == 0 {
+				if i > 1 && got.Stats.Memo.MemoStatesReplayed == 0 {
 					t.Errorf("step %d: warm chain over HTTP replayed no recorded states", i)
 				}
 			}

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"dise"
+	idise "dise/internal/dise"
 	"dise/internal/sym"
+	"dise/internal/symexec"
 )
 
 // latencyBucketsMillis are the histogram bucket upper bounds, exponential
@@ -209,27 +211,19 @@ type Metrics struct {
 	MemoStats   dise.MemoStats   `json:"memo_stats"`
 	MergeStats  dise.MergeStats  `json:"merge_stats"`
 	Totals      struct {
-		StatesExplored     int   `json:"states_explored"`
-		PathConditions     int   `json:"path_conditions"`
-		InfeasibleBranches int   `json:"infeasible_branches"`
-		AnalysisMillis     int64 `json:"analysis_ms"`
+		symexec.CoreStats
+		symexec.RunStats
+		PathConditions int   `json:"path_conditions"`
+		AnalysisMillis int64 `json:"analysis_ms"`
+		idise.PruneStats
 	} `json:"totals"`
-	ParseCache  dise.CacheStats  `json:"parse_cache"`
-	PrefixCache PrefixCacheStats `json:"prefix_cache"`
+	ParseCache  dise.CacheStats `json:"parse_cache"`
+	PrefixCache dise.CacheStats `json:"prefix_cache"`
 
 	Memory MemoryStats `json:"memory"`
 	// MemoryBreakdown attributes long-lived memory to its subsystems
 	// (intern table, memo tries, shared caches).
 	MemoryBreakdown MemoryBreakdown `json:"memory_breakdown"`
-}
-
-// PrefixCacheStats mirrors constraint.CacheStats with JSON tags.
-type PrefixCacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes_approx"`
-	Evictions int64 `json:"evictions"`
 }
 
 // MemoryBreakdown decomposes the process's long-lived memory by subsystem,
@@ -281,14 +275,14 @@ func (s *Service) snapshot() Metrics {
 	out.SolverStats = totals.Solver
 	out.MemoStats = totals.Memo
 	out.MergeStats = totals.Merge
-	out.Totals.StatesExplored = totals.StatesExplored
+	out.Totals.CoreStats = totals.CoreStats
+	out.Totals.RunStats = totals.RunStats
 	out.Totals.PathConditions = totals.PathConditions
-	out.Totals.InfeasibleBranches = totals.InfeasibleBranches
 	out.Totals.AnalysisMillis = totals.TimeMilliseconds
+	out.Totals.PruneStats = totals.PruneStats
 
 	out.ParseCache = s.analyzer.CacheStats()
-	pc := s.analyzer.SolverCacheStats()
-	out.PrefixCache = PrefixCacheStats{Hits: pc.Hits, Misses: pc.Misses, Entries: pc.Entries, Bytes: pc.Bytes, Evictions: pc.Evictions}
+	out.PrefixCache = s.analyzer.SolverCacheStats()
 
 	intern := sym.InternTableStats()
 	out.MemoryBreakdown = MemoryBreakdown{
@@ -299,7 +293,7 @@ func (s *Service) snapshot() Metrics {
 		InternCollected:  intern.Collected,
 		TrieNodes:        out.Sessions.TrieNodes,
 		TrieBytes:        out.Sessions.TrieBytes,
-		PrefixCacheBytes: pc.Bytes,
+		PrefixCacheBytes: out.PrefixCache.Bytes,
 		ParseCacheBytes:  out.ParseCache.Bytes,
 	}
 

@@ -126,48 +126,112 @@ func (c Config) ResolvedExploreParallelism() int {
 
 // Stats are the cost counters reported in the paper's Table 2: states
 // explored, time, and the number of path conditions (len(Summary.Paths)).
+// Each group is defined once and carried unchanged up to the facade, whose
+// Result JSON uses the groups' tags as its keys.
 type Stats struct {
-	StatesExplored     int
-	PathsExplored      int
-	InfeasibleBranches int
-	DepthBoundHits     int
+	CoreStats
+	RunStats
+	Time   time.Duration
+	Solver constraint.Stats
+	MemoStats
+	Merge MergeStats
+}
+
+// CoreStats are the counters an expansion (Engine.Step, or InitialState)
+// adds. The scheduler commits them per kept expansion, so they are
+// deterministic for a given analysis at every strategy and parallelism
+// level, speculation notwithstanding.
+type CoreStats struct {
+	StatesExplored     int `json:"states_explored"`
+	InfeasibleBranches int `json:"infeasible_branches"`
+	// DepthBoundHits counts paths abandoned at the depth bound: each one is
+	// a path the run did not explore to its end.
+	DepthBoundHits int `json:"depth_bound_hits"`
 	// ModelHits counts branch feasibility decisions answered by the
 	// parent state's cached satisfying model instead of a solver call.
-	ModelHits    int
-	MaxStatesHit bool
-	// CheckPanics counts Backend.Check calls that panicked and were
-	// contained: the engine recovers, reports the check as Unknown, and
-	// keeps exploring. A sound backend never panics; this counter is the
-	// audit trail for a faulty one.
-	CheckPanics int
-	Time         time.Duration
-	Solver       constraint.Stats
+	ModelHits int `json:"model_hits"`
+}
 
-	// Memo counters of a version-chain session run (zero without Config.Memo).
-	// Like the solver counters they include speculative work, so their split
-	// may vary with parallelism; the exploration outcome does not.
-	//
+// Add accumulates o into c. It runs once per state expansion.
+func (c *CoreStats) Add(o CoreStats) {
+	c.StatesExplored += o.StatesExplored
+	c.InfeasibleBranches += o.InfeasibleBranches
+	c.DepthBoundHits += o.DepthBoundHits
+	c.ModelHits += o.ModelHits
+}
+
+// RunStats describe the extent of a run as a whole.
+type RunStats struct {
+	// PathsExplored counts the Path records collected (Engine.Collect).
+	PathsExplored int `json:"paths_explored"`
+	// MaxStatesHit reports that the MaxStates safety valve stopped the run:
+	// the path set is incomplete.
+	MaxStatesHit bool `json:"max_states_hit,omitempty"`
+}
+
+// Add accumulates o into r.
+func (r *RunStats) Add(o RunStats) {
+	r.PathsExplored += o.PathsExplored
+	r.MaxStatesHit = r.MaxStatesHit || o.MaxStatesHit
+}
+
+// MemoStats are the memo counters of a version-chain session run (zero
+// without Config.Memo). Like the solver counters they include speculative
+// work, so their split may vary with parallelism; the exploration outcome
+// does not.
+type MemoStats struct {
 	// MemoHits counts branch feasibility decisions answered by a recorded
 	// verdict from the execution-tree trie — decisions that made no
 	// constraint.Backend.Check call at all.
-	MemoHits int
+	MemoHits int `json:"memo_hits"`
 	// MemoStatesReplayed counts state expansions served on a matched trie
 	// node carrying recorded facts; MemoStatesLive counts expansions that
 	// recorded fresh facts (unmatched, wiped, or never-recorded nodes).
-	MemoStatesReplayed int
-	MemoStatesLive     int
+	MemoStatesReplayed int `json:"states_replayed"`
+	MemoStatesLive     int `json:"states_explored_live"`
+}
 
-	// State-merging counters of a run with Config.MergeBound set (zero
-	// otherwise).
-	//
+// Add accumulates o into m.
+func (m *MemoStats) Add(o MemoStats) {
+	m.MemoHits += o.MemoHits
+	m.MemoStatesReplayed += o.MemoStatesReplayed
+	m.MemoStatesLive += o.MemoStatesLive
+}
+
+// MergeStats are the state-merging counters of a run with Config.MergeBound
+// set (zero otherwise): how many join-point fusions the run performed and how
+// much exploration they collapsed. Like the solver counters these are cost
+// observability, not outcome — a merged run covers the same affected
+// branches and keeps every path condition solvable (the verdict-equivalence
+// gate, see merge.go).
+type MergeStats struct {
+	// Enabled distinguishes a merged run from the default per-path mode.
+	Enabled bool `json:"enabled"`
+	// Bound echoes the configured merge bound (MergeUnbounded = fuse every
+	// mergeable sibling set whole; >= 2 = fuse in chunks of at most Bound).
+	Bound int `json:"bound"`
 	// Merges counts merge operations: sibling groups fused at a join.
-	Merges int
+	Merges int `json:"merges"`
 	// MergedStatesSaved counts states absorbed by merges — for each merge
 	// of k siblings, k-1 states that were not separately explored.
-	MergedStatesSaved int
+	MergedStatesSaved int `json:"merged_states_saved"`
 	// IteNodes counts the distinct sym.ITE nodes interned during the run
-	// (approximate when other runs intern concurrently).
-	IteNodes int
+	// (approximate when other runs intern concurrently) — the footprint
+	// merging trades exploration for.
+	IteNodes int `json:"ite_nodes"`
+}
+
+// Add accumulates one run's merge counters into an aggregate. Enabled is a
+// disjunction, Bound keeps the first enabled sample's value, the counters
+// sum.
+func (m *MergeStats) Add(o MergeStats) {
+	if o.Enabled && !m.Enabled {
+		m.Enabled = true
+		m.Bound = o.Bound
+	}
+	m.Merges += o.Merges
+	m.MergedStatesSaved += o.MergedStatesSaved
+	m.IteNodes += o.IteNodes
 }
 
 // Engine symbolically executes one procedure.
@@ -426,7 +490,7 @@ func (e *Engine) Domains() map[string]solver.Interval {
 // Stats returns a snapshot of the engine's counters, including solver stats.
 func (e *Engine) Stats() Stats {
 	st := e.stats
-	st.Solver = e.Backend.Stats()
+	st.Solver.Add(e.Backend.Stats())
 	return st
 }
 
@@ -510,15 +574,15 @@ func (e *Engine) checkBranch(c sym.Expr) constraint.Result {
 }
 
 // safeCheck contains a panicking Backend.Check: the engine recovers,
-// counts the event (Stats.CheckPanics) and treats the check as Unknown, so
-// a faulty backend degrades an exploration's precision instead of tearing
-// down the whole analysis (or, in the service, the process). Only Check is
-// contained — a panic in Push/Pop/Assert indicates a stack-discipline bug
-// in the engine itself and must stay loud.
+// counts the event (Stats.Solver.CheckPanics) and treats the check as
+// Unknown, so a faulty backend degrades an exploration's precision instead
+// of tearing down the whole analysis (or, in the service, the process).
+// Only Check is contained — a panic in Push/Pop/Assert indicates a
+// stack-discipline bug in the engine itself and must stay loud.
 func (e *Engine) safeCheck() (res constraint.Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.stats.CheckPanics++
+			e.stats.Solver.CheckPanics++
 			res = constraint.Result{Unknown: true}
 		}
 	}()

@@ -143,7 +143,7 @@ func (x *Explorer) runMerged() {
 	e := x.engines[0]
 	p := x.opts.Pruner
 	iteBefore := sym.ITENodesBuilt()
-	defer func() { x.iteNodes = int(sym.ITENodesBuilt() - iteBefore) }()
+	defer func() { x.merge.IteNodes = int(sym.ITENodesBuilt() - iteBefore) }()
 
 	rpo := rpoIndex(e.Graph)
 	q := mergeQueue{}
@@ -189,11 +189,10 @@ func (x *Explorer) expandMerged(s *State, e *Engine, rpo []int, q *mergeQueue) {
 	if p != nil && !p.Enter(s) {
 		return
 	}
-	before := coreOf(e.stats)
-	step := e.Step(s)
-	delta := coreDelta(coreOf(e.stats), before)
+	var step Step
+	delta := e.counted(func() { step = e.Step(s) })
 	x.mu.Lock()
-	x.coreStats.addCore(delta)
+	x.core.Add(delta)
 	x.created += len(step.Feasible)
 	x.mu.Unlock()
 	if e.interruptErr != nil {
@@ -259,7 +258,7 @@ func (x *Explorer) mergeBatch(batch []*State, bound, budget int) []*State {
 		states := g.states
 		//diselint:ignore interruptloop bounded: consumes at least one state per iteration
 		for len(states) > 0 {
-			if budget > 0 && x.merges >= budget {
+			if budget > 0 && x.merge.Merges >= budget {
 				out = append(out, states...)
 				break
 			}
@@ -356,8 +355,8 @@ func (x *Explorer) mergeStates(group []*State) *State {
 	}
 
 	x.mu.Lock()
-	x.merges++
-	x.mergedSaved += len(group) - 1
+	x.merge.Merges++
+	x.merge.MergedStatesSaved += len(group) - 1
 	x.mu.Unlock()
 
 	return &State{

@@ -81,13 +81,13 @@ func TestMergeDiamondChainCollapse(t *testing.T) {
 	if len(merged.Paths) != 2 {
 		t.Fatalf("merged paths = %d, want 2", len(merged.Paths))
 	}
-	if merged.Stats.Merges != 3 {
-		t.Errorf("merges = %d, want 3 (one per interior join)", merged.Stats.Merges)
+	if merged.Stats.Merge.Merges != 3 {
+		t.Errorf("merges = %d, want 3 (one per interior join)", merged.Stats.Merge.Merges)
 	}
-	if merged.Stats.MergedStatesSaved != 3 {
-		t.Errorf("merged states saved = %d, want 3", merged.Stats.MergedStatesSaved)
+	if merged.Stats.Merge.MergedStatesSaved != 3 {
+		t.Errorf("merged states saved = %d, want 3", merged.Stats.Merge.MergedStatesSaved)
 	}
-	if merged.Stats.IteNodes == 0 {
+	if merged.Stats.Merge.IteNodes == 0 {
 		t.Errorf("ite nodes = 0, want > 0 (env fusion builds ite trees)")
 	}
 	if 3*merged.Stats.StatesExplored > full.Stats.StatesExplored {
@@ -113,15 +113,15 @@ func TestMergeBoundChunking(t *testing.T) {
 	if len(merged.Paths) != 2 {
 		t.Fatalf("merged paths = %d, want 2", len(merged.Paths))
 	}
-	if merged.Stats.Merges != 3 {
-		t.Errorf("merges = %d, want 3", merged.Stats.Merges)
+	if merged.Stats.Merge.Merges != 3 {
+		t.Errorf("merges = %d, want 3", merged.Stats.Merge.Merges)
 	}
 }
 
 func TestMergeBudgetStopsMerging(t *testing.T) {
 	merged := newEngine(t, mergeChainSource, "chain", Config{MergeBound: MergeUnbounded, MergeBudget: 1}).RunFull()
-	if merged.Stats.Merges != 1 {
-		t.Errorf("merges = %d, want exactly the budget of 1", merged.Stats.Merges)
+	if merged.Stats.Merge.Merges != 1 {
+		t.Errorf("merges = %d, want exactly the budget of 1", merged.Stats.Merge.Merges)
 	}
 	full := newEngine(t, mergeChainSource, "chain", Config{}).RunFull()
 	sameCoverage(t, full, merged)
@@ -161,7 +161,7 @@ func TestMergeMultiWayJoin(t *testing.T) {
 		if len(merged.Paths) >= len(full.Paths) {
 			t.Errorf("bound %d: merged paths = %d, want fewer than full's %d", bound, len(merged.Paths), len(full.Paths))
 		}
-		if merged.Stats.Merges == 0 {
+		if merged.Stats.Merge.Merges == 0 {
 			t.Errorf("bound %d: no merges performed", bound)
 		}
 		sameCoverage(t, full, merged)

@@ -38,8 +38,6 @@ package symexec
 import (
 	"sync"
 	"sync/atomic"
-
-	"dise/internal/constraint"
 )
 
 // ChildVerdict is a Pruner's decision about one feasible successor state.
@@ -107,8 +105,8 @@ type task struct {
 	// Result fields, written by the claiming expander and published with
 	// status = taskDone (under the Explorer mutex).
 	step     Step
-	delta    Stats // engine core-counter delta attributable to this expansion
-	aborted  bool  // expansion was interrupted mid-step; step is not trustworthy
+	delta    CoreStats // core counters attributable to this expansion
+	aborted  bool      // expansion was interrupted mid-step; step is not trustworthy
 	children []*task
 	path     *Path // free exploration: the collected path of a terminal task
 }
@@ -136,12 +134,8 @@ type Explorer struct {
 	intErr       error
 	created      int // states created: initial state + feasible successors
 	maxStatesHit bool
-	coreStats    Stats // committed core counters (see coreDelta)
-
-	// State-merging counters (merge.go); zero without Config.MergeBound.
-	merges      int
-	mergedSaved int
-	iteNodes    int
+	core         CoreStats  // committed expansions only (see Engine.counted)
+	merge        MergeStats // merge.go; zero without Config.MergeBound
 
 	summary *Summary
 }
@@ -178,6 +172,7 @@ func NewExplorer(e *Engine, opts ExploreOptions) *Explorer {
 		e.Graph.Dist(e.Graph.Begin.ID, e.Graph.End.ID)
 	}
 	if e.config.MergeBound != 0 {
+		x.merge = MergeStats{Enabled: true, Bound: e.config.MergeBound}
 		// Merged exploration is sequential: the merge queue replaces the
 		// strategy frontier, and one engine threads one solver context
 		// through the heap-ordered walk (merge.go).
@@ -204,9 +199,8 @@ func NewExplorer(e *Engine, opts ExploreOptions) *Explorer {
 func (x *Explorer) Run() *Summary {
 	x.summary = &Summary{}
 	primary := x.engines[0]
-	before := coreOf(primary.stats)
-	s0 := primary.InitialState()
-	x.coreStats = coreDelta(coreOf(primary.stats), before)
+	var s0 *State
+	x.core = primary.counted(func() { s0 = primary.InitialState() })
 	x.created = 1
 	x.root = &task{state: s0}
 
@@ -305,9 +299,8 @@ func (x *Explorer) processFree(t *task, e *Engine) {
 		}
 		return
 	}
-	before := coreOf(e.stats)
-	step := e.Step(t.state)
-	delta := coreDelta(coreOf(e.stats), before)
+	var step Step
+	delta := e.counted(func() { step = e.Step(t.state) })
 	if e.interruptErr != nil {
 		x.fail(e.interruptErr)
 		return
@@ -315,7 +308,7 @@ func (x *Explorer) processFree(t *task, e *Engine) {
 	kids := make([]*task, len(step.Feasible))
 	items := make([]*Item, len(step.Feasible))
 	x.mu.Lock()
-	x.coreStats.addCore(delta)
+	x.core.Add(delta)
 	x.created += len(step.Feasible)
 	for i, s := range step.Feasible {
 		kids[i] = &task{state: s}
@@ -425,7 +418,7 @@ func (x *Explorer) await(t *task) (Step, bool) {
 		x.mu.Unlock()
 	}
 	x.mu.Lock()
-	x.coreStats.addCore(t.delta) // only committed expansions count
+	x.core.Add(t.delta) // only committed expansions count
 	x.mu.Unlock()
 	return t.step, !t.aborted
 }
@@ -464,9 +457,8 @@ func (x *Explorer) specWorker(e *Engine) {
 // committed mode the successors also enter the frontier (unless t died in
 // the meantime) so workers can keep speculating down the tree.
 func (x *Explorer) expandTask(t *task, e *Engine) {
-	before := coreOf(e.stats)
-	step := e.Step(t.state)
-	t.delta = coreDelta(coreOf(e.stats), before)
+	var step Step
+	t.delta = e.counted(func() { step = e.Step(t.state) })
 	t.step = step
 	if e.interruptErr != nil {
 		t.aborted = true
@@ -566,51 +558,31 @@ func (x *Explorer) fail(err error) {
 // mergedStats joins the per-worker counters at the end of a run. The core
 // exploration counters (states, branches, depth-bound hits, model hits) are
 // the committed ones — deterministic for a given analysis at every strategy
-// and parallelism level. The solver counters are summed across the worker
-// backends; their split between cache hits, model reuses and full solves
-// legitimately varies with speculation and interleaving.
+// and parallelism level. The other counters are summed across the worker
+// engines; the solver counters' split between cache hits, model reuses and
+// full solves legitimately varies with speculation and interleaving.
 func (x *Explorer) mergedStats() Stats {
-	st := x.coreStats
+	st := Stats{CoreStats: x.core, Merge: x.merge}
 	st.MaxStatesHit = x.maxStatesHit
-	st.Merges = x.merges
-	st.MergedStatesSaved = x.mergedSaved
-	st.IteNodes = x.iteNodes
-	var solver constraint.Stats
 	for _, e := range x.engines {
-		st.PathsExplored += e.stats.PathsExplored
-		st.CheckPanics += e.stats.CheckPanics
-		st.MemoHits += e.stats.MemoHits
-		st.MemoStatesReplayed += e.stats.MemoStatesReplayed
-		st.MemoStatesLive += e.stats.MemoStatesLive
-		solver.Add(e.Backend.Stats())
+		es := e.Stats()
+		st.RunStats.Add(es.RunStats)
+		st.MemoStats.Add(es.MemoStats)
+		st.Solver.Add(es.Solver)
 	}
-	st.Solver = solver
 	return st
 }
 
-// coreOf projects the deterministic exploration counters of s.
-func coreOf(s Stats) Stats {
-	return Stats{
-		StatesExplored:     s.StatesExplored,
-		InfeasibleBranches: s.InfeasibleBranches,
-		DepthBoundHits:     s.DepthBoundHits,
-		ModelHits:          s.ModelHits,
-	}
-}
-
-// coreDelta subtracts two core projections.
-func coreDelta(after, before Stats) Stats {
-	return Stats{
-		StatesExplored:     after.StatesExplored - before.StatesExplored,
-		InfeasibleBranches: after.InfeasibleBranches - before.InfeasibleBranches,
-		DepthBoundHits:     after.DepthBoundHits - before.DepthBoundHits,
-		ModelHits:          after.ModelHits - before.ModelHits,
-	}
-}
-
-func (s *Stats) addCore(d Stats) {
-	s.StatesExplored += d.StatesExplored
-	s.InfeasibleBranches += d.InfeasibleBranches
-	s.DepthBoundHits += d.DepthBoundHits
-	s.ModelHits += d.ModelHits
+// counted runs f, an expansion on e, and returns the core counters it added.
+// The engine's own totals keep accumulating; the explorer commits the
+// returned delta only for expansions the walk keeps. This runs once per
+// state expansion.
+func (e *Engine) counted(f func()) CoreStats {
+	total := e.stats.CoreStats
+	e.stats.CoreStats = CoreStats{}
+	f()
+	delta := e.stats.CoreStats
+	e.stats.CoreStats = total
+	e.stats.CoreStats.Add(delta)
+	return delta
 }

@@ -112,6 +112,9 @@ func oracleRunFull(e *Engine) *Summary {
 	return summary
 }
 
+// coreOf projects the deterministic exploration counters of s.
+func coreOf(s Stats) CoreStats { return s.CoreStats }
+
 // pathKey renders a path for comparison: path condition plus trace, so two
 // paths differing only in unconstrained suffix nodes stay distinct.
 func pathKey(p Path) string { return fmt.Sprintf("%s %v err=%v", p.PCString, p.Trace, p.Err) }

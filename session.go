@@ -223,18 +223,15 @@ func (s *Session) Advance(ctx context.Context, nextSrc string) (*Result, error) 
 	// engine holds trie pointers; evicted subtrees re-solve cold if a later
 	// version needs them again.
 	evicted := s.tree.Enforce()
-	st := res.internal.Summary.Stats
 	res.Stats.Memo = MemoStats{
-		Enabled:            true,
-		Step:               s.step,
-		MemoHits:           st.MemoHits,
-		StatesReplayed:     st.MemoStatesReplayed,
-		StatesExploredLive: st.MemoStatesLive,
-		NodesKept:          kept,
-		NodesInvalidated:   dropped,
-		NodesEvicted:       evicted,
-		TrieNodes:          s.tree.Size(),
-		TrieBytes:          s.tree.Bytes(),
+		Enabled:          true,
+		Step:             s.step,
+		MemoStats:        res.internal.Summary.Stats.MemoStats,
+		NodesKept:        kept,
+		NodesInvalidated: dropped,
+		NodesEvicted:     evicted,
+		TrieNodes:        s.tree.Size(),
+		TrieBytes:        s.tree.Bytes(),
 	}
 	s.prev = next
 	s.prevSig = sig

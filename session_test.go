@@ -100,7 +100,7 @@ func TestSessionMatchesColdAnalyzeOnArtifacts(t *testing.T) {
 					if !m.Enabled || m.Step != i {
 						t.Fatalf("step %d: memo stats not populated: %+v", i, m)
 					}
-					if i > 1 && m.StatesReplayed == 0 {
+					if i > 1 && m.MemoStatesReplayed == 0 {
 						t.Errorf("step %d (%s): warm chain replayed no recorded states: %+v",
 							i, art.Versions[i-1].Name, m)
 					}
@@ -170,8 +170,8 @@ func TestSessionNoOpEditFastPath(t *testing.T) {
 	if res2.Stats.Solver.Checks != 0 {
 		t.Errorf("no-op edit made %d solver checks, want 0", res2.Stats.Solver.Checks)
 	}
-	if m.StatesExploredLive != 0 {
-		t.Errorf("no-op edit explored %d states live, want 0 (100%% replay): %+v", m.StatesExploredLive, m)
+	if m.MemoStatesLive != 0 {
+		t.Errorf("no-op edit explored %d states live, want 0 (100%% replay): %+v", m.MemoStatesLive, m)
 	}
 	if len(res2.Paths) != 0 || res2.ChangedNodes != 0 {
 		t.Errorf("no-op edit reported changes: %d paths, %d changed nodes", len(res2.Paths), res2.ChangedNodes)

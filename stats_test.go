@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	idise "dise/internal/dise"
+	"dise/internal/symexec"
 )
 
 // TestStatsAdd pins the aggregation semantics of the facade stats hooks:
@@ -13,29 +16,38 @@ import (
 func TestStatsAdd(t *testing.T) {
 	var agg Stats
 	agg.Add(Stats{
-		StatesExplored: 10, PathConditions: 3, InfeasibleBranches: 2,
-		TimeMilliseconds: 5, SolverCalls: 7,
+		CoreStats:      symexec.CoreStats{StatesExplored: 10, InfeasibleBranches: 2, DepthBoundHits: 4, ModelHits: 3},
+		RunStats:       symexec.RunStats{PathsExplored: 3},
+		PathConditions: 3, TimeMilliseconds: 5, SolverCalls: 7,
 		SearchStrategy: "dfs", ExploreParallelism: 1,
-		Solver: SolverStats{Backend: "interval", Checks: 7, Sat: 5, Unsat: 2, CacheHits: 1},
-		Memo:   MemoStats{Enabled: true, Step: 4, MemoHits: 6, StatesReplayed: 8, TrieNodes: 50},
+		PruneStats: idise.PruneStats{PrunedStates: 6, UnaffectedPaths: 1, Resets: 2},
+		Solver:     SolverStats{Backend: "interval", Checks: 7, Sat: 5, Unsat: 2, CacheHits: 1, SearchNodes: 40},
+		Memo: MemoStats{Enabled: true, Step: 4, TrieNodes: 50,
+			MemoStats: symexec.MemoStats{MemoHits: 6, MemoStatesReplayed: 8}},
 	})
 	agg.Add(Stats{
-		StatesExplored: 5, PathConditions: 1, InfeasibleBranches: 1,
-		TimeMilliseconds: 2, SolverCalls: 3,
+		CoreStats:      symexec.CoreStats{StatesExplored: 5, InfeasibleBranches: 1, DepthBoundHits: 1},
+		RunStats:       symexec.RunStats{PathsExplored: 1, MaxStatesHit: true},
+		PathConditions: 1, TimeMilliseconds: 2, SolverCalls: 3,
 		SearchStrategy: "bfs", ExploreParallelism: 4,
-		Solver: SolverStats{Backend: "bitvec", Checks: 3, Sat: 3, ModelReuses: 2},
-		Memo:   MemoStats{Enabled: true, Step: 9, MemoHits: 1, StatesExploredLive: 4, TrieNodes: 40},
+		PruneStats: idise.PruneStats{PrunedStates: 1},
+		Solver:     SolverStats{Backend: "bitvec", Checks: 3, Sat: 3, ModelReuses: 2, SearchNodes: 2, CheckPanics: 1},
+		Memo: MemoStats{Enabled: true, Step: 9, TrieNodes: 40,
+			MemoStats: symexec.MemoStats{MemoHits: 1, MemoStatesLive: 4}},
 	})
-	agg.Add(Stats{StatesExplored: 1}) // cold analyze: memo disabled
+	agg.Add(Stats{CoreStats: symexec.CoreStats{StatesExplored: 1}}) // cold analyze: memo disabled
 
 	want := Stats{
-		StatesExplored: 16, PathConditions: 4, InfeasibleBranches: 3,
-		TimeMilliseconds: 7, SolverCalls: 10,
+		CoreStats:      symexec.CoreStats{StatesExplored: 16, InfeasibleBranches: 3, DepthBoundHits: 5, ModelHits: 3},
+		RunStats:       symexec.RunStats{PathsExplored: 4, MaxStatesHit: true},
+		PathConditions: 4, TimeMilliseconds: 7, SolverCalls: 10,
 		SearchStrategy: "dfs", ExploreParallelism: 1,
-		Solver: SolverStats{Backend: "interval", Checks: 10, Sat: 8, Unsat: 2, CacheHits: 1, ModelReuses: 2},
+		PruneStats: idise.PruneStats{PrunedStates: 7, UnaffectedPaths: 1, Resets: 2},
+		Solver: SolverStats{Backend: "interval", Checks: 10, Sat: 8, Unsat: 2, CacheHits: 1, ModelReuses: 2,
+			SearchNodes: 42, CheckPanics: 1},
 		Memo: MemoStats{
-			Enabled: true, Step: 2, MemoHits: 7,
-			StatesReplayed: 8, StatesExploredLive: 4, TrieNodes: 50,
+			Enabled: true, Step: 2, TrieNodes: 50,
+			MemoStats: symexec.MemoStats{MemoHits: 7, MemoStatesReplayed: 8, MemoStatesLive: 4},
 		},
 	}
 	if !reflect.DeepEqual(agg, want) {
@@ -62,7 +74,7 @@ func TestMergeStatsAdd(t *testing.T) {
 // carry data. A cold run's JSON must not serialize trees of zeros for
 // machinery it never engaged.
 func TestStatsMarshalOmitsZeroBlocks(t *testing.T) {
-	bare, err := json.Marshal(Stats{StatesExplored: 3, SearchStrategy: "dfs"})
+	bare, err := json.Marshal(Stats{CoreStats: symexec.CoreStats{StatesExplored: 3}, SearchStrategy: "dfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
