@@ -237,20 +237,19 @@ func requireFields(fields map[string]string) error {
 	return nil
 }
 
-// admit takes a deadline-bounded context and an admission slot for one
-// analysis. The returned cancel releases both; errors are already
-// classified for statusOf.
-func (s *Service) admit(r *http.Request, deadlineMillis int64) (context.Context, func(), error) {
+// admitted runs fn with a deadline-bounded context while holding an
+// admission slot. Both are released as soon as fn returns, before the
+// handler writes its response: a client that reads the reply and then
+// scrapes /metrics must see the slot free. Errors are already classified
+// for statusOf.
+func (s *Service) admitted(r *http.Request, deadlineMillis int64, fn func(ctx context.Context) error) error {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(deadlineMillis))
+	defer cancel()
 	if err := s.adm.acquire(ctx); err != nil {
-		cancel()
-		return nil, nil, err
+		return err
 	}
-	release := func() {
-		s.adm.release()
-		cancel()
-	}
-	return ctx, release, nil
+	defer s.adm.release()
+	return fn(ctx)
 }
 
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -273,22 +272,20 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "analyze", start, err)
 		return
 	}
-	ctx, release, err := s.admit(r, req.DeadlineMillis)
-	if err != nil {
-		s.fail(w, "analyze", start, err)
-		return
-	}
-	defer release()
 	mergeBound := req.MergeBound
 	if mergeBound == 0 {
 		mergeBound = s.cfg.DefaultMergeBound
 	}
-	res, err := s.analyzer.Analyze(ctx, dise.Request{
-		BaseSrc:         req.BaseSrc,
-		ModSrc:          req.ModSrc,
-		Proc:            req.Proc,
-		Interprocedural: req.Interprocedural,
-		MergeBound:      mergeBound,
+	var res *dise.Result
+	err = s.admitted(r, req.DeadlineMillis, func(ctx context.Context) (err error) {
+		res, err = s.analyzer.Analyze(ctx, dise.Request{
+			BaseSrc:         req.BaseSrc,
+			ModSrc:          req.ModSrc,
+			Proc:            req.Proc,
+			Interprocedural: req.Interprocedural,
+			MergeBound:      mergeBound,
+		})
+		return err
 	})
 	if err != nil {
 		s.fail(w, "analyze", start, err)
@@ -317,18 +314,15 @@ func (s *Service) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "create", start, err)
 		return
 	}
-	ctx, release, err := s.admit(r, req.DeadlineMillis)
-	if err != nil {
-		s.store.unreserve(req.Tenant)
-		s.fail(w, "create", start, err)
-		return
-	}
-	defer release()
-	sess, err := s.analyzer.NewSession(ctx, dise.SessionRequest{
-		InitialSrc:      req.InitialSrc,
-		Proc:            req.Proc,
-		Interprocedural: req.Interprocedural,
-		SkipSeed:        req.SkipSeed,
+	var sess *dise.Session
+	err = s.admitted(r, req.DeadlineMillis, func(ctx context.Context) (err error) {
+		sess, err = s.analyzer.NewSession(ctx, dise.SessionRequest{
+			InitialSrc:      req.InitialSrc,
+			Proc:            req.Proc,
+			Interprocedural: req.Interprocedural,
+			SkipSeed:        req.SkipSeed,
+		})
+		return err
 	})
 	if err != nil {
 		s.store.unreserve(req.Tenant)
@@ -356,16 +350,14 @@ func (s *Service) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "advance", start, err)
 		return
 	}
-	ctx, release, err := s.admit(r, req.DeadlineMillis)
-	if err != nil {
-		s.fail(w, "advance", start, err)
-		return
-	}
-	defer release()
 	// The session serializes concurrent Advances internally; the store may
 	// evict the entry while this runs (the session object stays valid, the
 	// ID just stops resolving afterwards).
-	res, err := entry.sess.Advance(ctx, req.NextSrc)
+	var res *dise.Result
+	err = s.admitted(r, req.DeadlineMillis, func(ctx context.Context) (err error) {
+		res, err = entry.sess.Advance(ctx, req.NextSrc)
+		return err
+	})
 	if err != nil {
 		s.fail(w, "advance", start, err)
 		return
