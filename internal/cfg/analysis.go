@@ -11,16 +11,25 @@ package cfg
 // All analyses are computed once on demand and cached on the Graph. Graphs
 // are immutable after Build, so the caches never invalidate.
 
-// bitset is a simple dense bitset over node IDs.
-type bitset []uint64
+// Bitset is a dense set of node IDs, one bit per node. Reachability rows
+// (ReachRow) are Bitsets, so callers keeping node sets in the same form
+// test "reaches any of" with word-wise ANDs.
+type Bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+// NewBitset returns an empty set with room for IDs below n.
+func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+// Set adds i.
+func (b Bitset) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
-// or sets b |= c, reporting whether b changed.
-func (b bitset) or(c bitset) bool {
+// Clear removes i.
+func (b Bitset) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
+
+// Has reports whether i is in the set.
+func (b Bitset) Has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+
+// Or sets b |= c, reporting whether b changed.
+func (b Bitset) Or(c Bitset) bool {
 	changed := false
 	for i := range b {
 		old := b[i]
@@ -31,19 +40,19 @@ func (b bitset) or(c bitset) bool {
 }
 
 // and sets b &= c.
-func (b bitset) and(c bitset) {
+func (b Bitset) and(c Bitset) {
 	for i := range b {
 		b[i] &= c[i]
 	}
 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
+func (b Bitset) clone() Bitset {
+	c := make(Bitset, len(b))
 	copy(c, b)
 	return c
 }
 
-func (b bitset) count() int {
+func (b Bitset) count() int {
 	n := 0
 	for _, w := range b {
 		for ; w != 0; w &= w - 1 {
@@ -72,19 +81,19 @@ func (g *Graph) ensureReach() {
 		return
 	}
 	n := len(g.Nodes)
-	reach := make([]bitset, n)
+	reach := make([]Bitset, n)
 	// Process in reverse topological order where possible; a simple
 	// worklist fixpoint is robust to cycles and fast at these sizes.
 	for i := range reach {
-		reach[i] = newBitset(n)
-		reach[i].set(i) // Definition 3.2 admits the single-node sequence.
+		reach[i] = NewBitset(n)
+		reach[i].Set(i) // Definition 3.2 admits the single-node sequence.
 	}
 	changed := true
 	for changed {
 		changed = false
 		for _, node := range g.Nodes {
 			for _, e := range node.Succs {
-				if reach[node.ID].or(reach[e.To.ID]) {
+				if reach[node.ID].Or(reach[e.To.ID]) {
 					changed = true
 				}
 			}
@@ -97,13 +106,20 @@ func (g *Graph) ensureReach() {
 // (Definition 3.2). The relation is reflexive: a single node is a path.
 func (g *Graph) IsCFGPath(ni, nj *Node) bool {
 	g.ensureReach()
-	return g.reach[ni.ID].has(nj.ID)
+	return g.reach[ni.ID].Has(nj.ID)
 }
 
 // Reaches is IsCFGPath by node ID.
 func (g *Graph) Reaches(from, to int) bool {
 	g.ensureReach()
-	return g.reach[from].has(to)
+	return g.reach[from].Has(to)
+}
+
+// ReachRow returns the set of nodes reachable from node ID from (itself
+// included). The row is shared: callers must not modify it.
+func (g *Graph) ReachRow(from int) Bitset {
+	g.ensureReach()
+	return g.reach[from]
 }
 
 // ensureDist computes all-pairs hop distances with one BFS per node. The
@@ -155,17 +171,17 @@ func (g *Graph) ensurePostDom() {
 		return
 	}
 	n := len(g.Nodes)
-	full := newBitset(n)
+	full := NewBitset(n)
 	for i := 0; i < n; i++ {
-		full.set(i)
+		full.Set(i)
 	}
-	pdom := make([]bitset, n)
+	pdom := make([]Bitset, n)
 	for i := range pdom {
 		pdom[i] = full.clone()
 	}
 	end := g.End.ID
-	pdom[end] = newBitset(n)
-	pdom[end].set(end)
+	pdom[end] = NewBitset(n)
+	pdom[end].Set(end)
 	changed := true
 	for changed {
 		changed = false
@@ -178,7 +194,7 @@ func (g *Graph) ensurePostDom() {
 			for _, e := range node.Succs {
 				meet.and(pdom[e.To.ID])
 			}
-			meet.set(node.ID)
+			meet.Set(node.ID)
 			if !equalBits(meet, pdom[node.ID]) {
 				pdom[node.ID] = meet
 				changed = true
@@ -188,7 +204,7 @@ func (g *Graph) ensurePostDom() {
 	g.pdom = pdom
 }
 
-func equalBits(a, b bitset) bool {
+func equalBits(a, b Bitset) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return false
@@ -201,7 +217,7 @@ func equalBits(a, b bitset) bool {
 // path from ni to end passes through nj. The relation is reflexive.
 func (g *Graph) PostDom(ni, nj *Node) bool {
 	g.ensurePostDom()
-	return g.pdom[ni.ID].has(nj.ID)
+	return g.pdom[ni.ID].Has(nj.ID)
 }
 
 // ControlD reports whether nj is control dependent on ni (Definition 3.9):
@@ -215,7 +231,7 @@ func (g *Graph) ControlD(ni, nj *Node) bool {
 	postDominatesSome := false
 	missesSome := false
 	for _, e := range ni.Succs {
-		if g.pdom[e.To.ID].has(nj.ID) {
+		if g.pdom[e.To.ID].Has(nj.ID) {
 			postDominatesSome = true
 		} else {
 			missesSome = true

@@ -440,25 +440,30 @@ func TestDotOutput(t *testing.T) {
 }
 
 func TestBitsetOps(t *testing.T) {
-	b := newBitset(130)
-	b.set(0)
-	b.set(64)
-	b.set(129)
-	if !b.has(0) || !b.has(64) || !b.has(129) || b.has(1) {
+	b := NewBitset(130)
+	b.Set(0)
+	b.Set(64)
+	b.Set(129)
+	if !b.Has(0) || !b.Has(64) || !b.Has(129) || b.Has(1) {
 		t.Error("bitset set/has broken")
 	}
 	if b.count() != 3 {
 		t.Errorf("count = %d, want 3", b.count())
 	}
-	c := newBitset(130)
-	c.set(5)
-	if changed := c.or(b); !changed {
+	b.Clear(64)
+	if b.Has(64) || !b.Has(0) || b.count() != 2 {
+		t.Error("bitset clear broken")
+	}
+	b.Set(64)
+	c := NewBitset(130)
+	c.Set(5)
+	if changed := c.Or(b); !changed {
 		t.Error("or should report change")
 	}
-	if !c.has(0) || !c.has(5) {
+	if !c.Has(0) || !c.Has(5) {
 		t.Error("or result wrong")
 	}
-	if changed := c.or(b); changed {
+	if changed := c.Or(b); changed {
 		t.Error("second or should be a no-op")
 	}
 	d := b.clone()

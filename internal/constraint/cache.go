@@ -70,7 +70,7 @@ type prefixEntry struct {
 	// box is the propagation state snapshot: the input domains tightened to
 	// bounds consistency under the prefix. A child Check starts from the
 	// box instead of re-propagating the whole prefix.
-	box map[string]solver.Interval
+	box []solver.Interval
 	// residual lists the prefix atoms the box does not entail — the only
 	// constraints a search within the box still has to enforce.
 	residual []sym.Expr

@@ -100,6 +100,31 @@ func TestPushPopAssertCheck(t *testing.T) {
 	})
 }
 
+// TestUndeclaredVariableAcrossFrames covers a variable the domains do not
+// declare (a program reading an unassigned local): the interval backend's
+// boxes have no slot for it, so the atoms over it must stay in the residual
+// list of every frame, and a deep Check must still see all of them.
+func TestUndeclaredVariableAcrossFrames(t *testing.T) {
+	l := sym.V("L")
+	allBackends(t, Options{Domains: domains("X")}, func(t *testing.T, b Backend) {
+		b.Push()
+		b.Assert(sym.Cmp(sym.OpGT, l, sym.Int(5)))
+		b.Push()
+		b.Assert(sym.Cmp(sym.OpGT, sym.V("X"), sym.Int(3)))
+		b.Push()
+		b.Assert(sym.Cmp(sym.OpLT, l, sym.Int(7)))
+		if res := b.Check(); !res.Sat || res.Model["L"] != 6 || res.Model["X"] < 4 {
+			t.Fatalf("5 < L < 7, X > 3: got %+v", res)
+		}
+		b.Pop()
+		b.Push()
+		b.Assert(sym.Cmp(sym.OpLT, l, sym.Int(6)))
+		if res := b.Check(); res.Sat {
+			t.Fatalf("L > 5 && L < 6 must be unsat, got model %v", res.Model)
+		}
+	})
+}
+
 func TestPopBaseFramePanics(t *testing.T) {
 	allBackends(t, Options{}, func(t *testing.T, b Backend) {
 		defer func() {
@@ -344,8 +369,8 @@ func TestPrefixCacheUpgradeOnly(t *testing.T) {
 	key := prefixKey{}.extend("p")
 	cache := NewPrefixCache(4)
 	res := &Result{Sat: true}
-	cache.put(key, prefixEntry{res: res, box: map[string]solver.Interval{"X": {Lo: 0, Hi: 5}}})
-	cache.put(key, prefixEntry{box: map[string]solver.Interval{"X": {Lo: 0, Hi: 9}}})
+	cache.put(key, prefixEntry{res: res, box: []solver.Interval{{Lo: 0, Hi: 5}}})
+	cache.put(key, prefixEntry{box: []solver.Interval{{Lo: 0, Hi: 9}}})
 	ent, ok := cache.get(key)
 	if !ok || ent.res != res {
 		t.Error("verdict must survive a box-only upgrade attempt")

@@ -28,7 +28,7 @@ type ivFrame struct {
 	// allocation beyond the frame itself.
 	expr0 [1]sym.Expr
 	key   prefixKey
-	box   map[string]solver.Interval // nil until computed; read-only once set
+	box   []solver.Interval // over the backend's universe; nil until computed, read-only once set
 	// residual holds the frame's atoms that its box does not entail (valid
 	// once box is set). Boxes shrink monotonically down the stack, so an
 	// atom entailed at its own frame stays entailed at every deeper frame —
@@ -44,8 +44,11 @@ type ivFrame struct {
 // which is exactly what the execution engine did before this subsystem
 // existed (the A/B baseline).
 type intervalBackend struct {
-	inner     *solver.Solver
-	domains   map[string]solver.Interval
+	inner *solver.Solver
+	// vars is the sorted universe of the declared inputs and domains their
+	// box: every frame's box is a slice in the same order.
+	vars      *solver.Universe
+	domains   []solver.Interval
 	frames    []*ivFrame
 	cache     *PrefixCache
 	reuse     bool
@@ -54,10 +57,7 @@ type intervalBackend struct {
 }
 
 func newIntervalBackend(opts Options, reuse bool) *intervalBackend {
-	domains := make(map[string]solver.Interval, len(opts.Domains))
-	for k, v := range opts.Domains {
-		domains[k] = v
-	}
+	vars, domains := solver.NewUniverse(opts.Domains)
 	cache := opts.Cache
 	if cache == nil && reuse {
 		// A private cache still pays off: within one engine it preserves
@@ -70,12 +70,15 @@ func newIntervalBackend(opts Options, reuse bool) *intervalBackend {
 	}
 	b := &intervalBackend{
 		inner:   solver.New(solver.Options{NodeBudget: opts.NodeBudget, Interrupt: opts.Interrupt}),
+		vars:    vars,
 		domains: domains,
 		cache:   cache,
 		reuse:   reuse,
 		stats:   Stats{Backend: name},
 	}
-	b.frames = []*ivFrame{{key: domainsKey(domains)}}
+	// The universe is exactly the declared names, so every engine that
+	// computes a key also lays out the boxes filed under it in one order.
+	b.frames = []*ivFrame{{key: domainsKey(opts.Domains)}}
 	return b
 }
 
@@ -159,7 +162,7 @@ func (b *intervalBackend) check() Result {
 		// ignoring every snapshot. (Expression compilation inside the inner
 		// solver is still cached — it always was.)
 		b.stats.FullSolves++
-		r := b.inner.Check(b.stackExprs(), b.domains)
+		r := b.inner.CheckBox(b.stackExprs(), b.vars, b.domains)
 		return Result{Sat: r.Sat, Unknown: r.Unknown, Model: r.Model}
 	}
 	if top.res != nil {
@@ -214,7 +217,7 @@ func (b *intervalBackend) check() Result {
 	// conjunction is outside it, and inside it the dropped atoms are
 	// vacuous).
 	b.stats.FullSolves++
-	r := b.inner.Check(b.stackResidual(), box)
+	r := b.inner.CheckBox(b.stackResidual(), b.vars, box)
 	res := Result{Sat: r.Sat, Unknown: r.Unknown, Model: r.Model}
 	if !res.Unknown {
 		// Unknown verdicts are budget- and timing-dependent; never memoize
@@ -233,7 +236,7 @@ func (b *intervalBackend) check() Result {
 // shared cache first). It returns the parent frame's box, the parent
 // prefix's satisfying model when one is known, and whether an ancestor
 // frame was refuted outright.
-func (b *intervalBackend) ensureAncestors() (map[string]solver.Interval, map[string]int64, bool) {
+func (b *intervalBackend) ensureAncestors() ([]solver.Interval, map[string]int64, bool) {
 	parentBox := b.domains
 	for i, f := range b.frames[:len(b.frames)-1] {
 		if f.box == nil {
@@ -272,29 +275,12 @@ func (b *intervalBackend) ensureAncestors() (map[string]solver.Interval, map[str
 // sound refutation of the whole stack. When the constraints tighten
 // nothing, the parent box is shared, not copied — long runs of
 // already-satisfied frames cost no memory.
-func (b *intervalBackend) propagateFrame(f *ivFrame, parentBox map[string]solver.Interval) (map[string]solver.Interval, []sym.Expr, bool) {
-	delta, residual, ok := b.inner.PropagateDelta(f.exprs, parentBox)
+func (b *intervalBackend) propagateFrame(f *ivFrame, parentBox []solver.Interval) ([]solver.Interval, []sym.Expr, bool) {
+	box, residual, ok := b.inner.PropagateDelta(f.exprs, b.vars, parentBox)
 	if !ok {
 		return nil, nil, false
 	}
 	b.stats.BoxSnapshots++
-	changed := false
-	for name, d := range delta {
-		if parentBox[name] != d {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return parentBox, residual, true
-	}
-	box := make(map[string]solver.Interval, len(parentBox)+len(delta))
-	for name, d := range parentBox {
-		box[name] = d
-	}
-	for name, d := range delta {
-		box[name] = d
-	}
 	return box, residual, true
 }
 

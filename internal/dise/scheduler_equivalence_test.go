@@ -3,6 +3,7 @@ package dise
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dise/internal/artifacts"
@@ -145,8 +146,8 @@ func (o *oracleRunner) reachable(si *symexec.State) bool {
 			o.resetUnExploredSet(m.ID)
 		}
 	}
-	unExplored := keysInto(nil, o.unExWrite, o.unExCond)
-	explored := keysInto(nil, o.exWrite, o.exCond)
+	unExplored := snapshot(o.unExWrite, o.unExCond)
+	explored := snapshot(o.exWrite, o.exCond)
 	isReachable := false
 	for _, nj := range unExplored {
 		if !g.Reaches(ni.ID, nj) {
@@ -160,6 +161,19 @@ func (o *oracleRunner) reachable(si *symexec.State) bool {
 		}
 	}
 	return isReachable
+}
+
+// snapshot lists the members of the sets, as the figure's lines 16–17 copy
+// them before the reset loop mutates the sets.
+func snapshot(sets ...map[int]bool) []int {
+	var out []int
+	for _, set := range sets {
+		for id := range set {
+			out = append(out, id)
+		}
+	}
+	sort.Ints(out)
+	return out
 }
 
 // oraclePaths runs the pre-refactor recursion on one artifact version.

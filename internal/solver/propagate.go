@@ -25,25 +25,16 @@ func (t truth) not() truth {
 	return truthUnknown
 }
 
-// solve runs propagation + splitting search and returns the final result.
-func (p *problem) solve(stats *Stats, budget *int) Result {
-	if p.trivialUnsat {
-		return Result{}
-	}
-	domains := make([]Interval, len(p.domains))
-	copy(domains, p.domains)
-	sat, unknown, model := p.search(domains, stats, budget)
-	return Result{Sat: sat, Unknown: unknown, Model: model}
-}
-
-// search explores the current box. It returns (sat, unknown, model).
-func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, bool, map[string]int64) {
+// search explores the current box. On success it returns the final box,
+// whose every domain's Lo is the model; otherwise nil, and whether the
+// search gave up (budget or interrupt) rather than refuting.
+func (p *problem) search(domains []Interval, stats *Stats, budget *int) (model []Interval, unknown bool) {
 	if p.interrupt != nil && p.interrupt() != nil {
 		// Cancelled mid-solve: report Unknown, like an exhausted budget.
-		return false, true, nil
+		return nil, true
 	}
 	if !p.propagate(domains, stats) {
-		return false, false, nil
+		return nil, false
 	}
 	// Classify constraints under the propagated box.
 	allTrue := true
@@ -51,7 +42,7 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 	for i := range p.views {
 		switch p.truthOf(&p.views[i], domains) {
 		case truthFalse:
-			return false, false, nil
+			return nil, false
 		case truthUnknown:
 			allTrue = false
 			if branchCon == nil {
@@ -60,7 +51,7 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 		}
 	}
 	if allTrue {
-		return true, false, p.modelFrom(domains)
+		return domains, false
 	}
 
 	// Pick an unfixed variable from an undetermined constraint, preferring
@@ -81,14 +72,14 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 		// All variables of the undetermined constraint are fixed; interval
 		// evaluation was too weak (division/modulo). Decide concretely.
 		if p.concreteTruth(branchCon, domains) != truthTrue {
-			return false, false, nil
+			return nil, false
 		}
 		return p.searchWithout(branchCon.c, domains, stats, budget)
 	}
 
 	*budget--
 	if *budget <= 0 {
-		return false, true, nil
+		return nil, true
 	}
 	stats.SearchNodes++
 
@@ -99,34 +90,34 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 		for val := d.Lo; val <= d.Hi; val++ {
 			child := cloneDomains(domains)
 			child[v] = Singleton(val)
-			sat, unknown, model := p.search(child, stats, budget)
-			if sat {
-				return true, false, model
+			model, unknown := p.search(child, stats, budget)
+			if model != nil {
+				return model, false
 			}
 			sawUnknown = sawUnknown || unknown
 		}
-		return false, sawUnknown, nil
+		return nil, sawUnknown
 	}
 	mid := d.Lo + (d.Hi-d.Lo)/2
 	left := cloneDomains(domains)
 	left[v] = Interval{Lo: d.Lo, Hi: mid}
-	sat, unknownL, model := p.search(left, stats, budget)
-	if sat {
-		return true, false, model
+	model, unknownL := p.search(left, stats, budget)
+	if model != nil {
+		return model, false
 	}
 	right := cloneDomains(domains)
 	right[v] = Interval{Lo: mid + 1, Hi: d.Hi}
-	sat, unknownR, model := p.search(right, stats, budget)
-	if sat {
-		return true, false, model
+	model, unknownR := p.search(right, stats, budget)
+	if model != nil {
+		return model, false
 	}
-	return false, unknownL || unknownR, nil
+	return nil, unknownL || unknownR
 }
 
 // searchWithout recurses with one constraint removed (it has been decided
 // true concretely).
-func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Stats, budget *int) (bool, bool, map[string]int64) {
-	sub := &problem{varNames: p.varNames, varIdx: p.varIdx, domains: p.domains, interrupt: p.interrupt}
+func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Stats, budget *int) ([]Interval, bool) {
+	sub := &problem{varNames: p.varNames, domains: p.domains, interrupt: p.interrupt}
 	for _, v := range p.views {
 		if v.c != drop {
 			sub.views = append(sub.views, v)
@@ -139,14 +130,6 @@ func cloneDomains(domains []Interval) []Interval {
 	out := make([]Interval, len(domains))
 	copy(out, domains)
 	return out
-}
-
-func (p *problem) modelFrom(domains []Interval) map[string]int64 {
-	model := make(map[string]int64, len(p.varNames))
-	for i, name := range p.varNames {
-		model[name] = domains[i].Lo
-	}
-	return model
 }
 
 // concreteTruth evaluates a constraint whose variables are all fixed.
@@ -515,7 +498,7 @@ func (p *problem) evalIv(e sym.Expr, domains []Interval) Interval {
 		}
 		return Singleton(0)
 	case *sym.Var:
-		if i, ok := p.varIdx[e.Name]; ok {
+		if i := p.index(e.Name); i >= 0 {
 			return domains[i]
 		}
 		return Full
@@ -561,7 +544,7 @@ func (p *problem) evalTruth(e sym.Expr, domains []Interval) truth {
 		}
 		return truthFalse
 	case *sym.Var:
-		if i, ok := p.varIdx[e.Name]; ok {
+		if i := p.index(e.Name); i >= 0 {
 			d := domains[i]
 			if d.Fixed() {
 				if d.Lo != 0 {

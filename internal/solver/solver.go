@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -61,22 +62,63 @@ type Solver struct {
 	// same pointer and hits the same cache line; compilation amortizes
 	// across the thousands of Check calls a symbolic execution run makes.
 	compiled map[sym.Expr][]*constraint
-	// propTpl caches, per constraint expression, the name-resolved problem
-	// skeleton PropagateDelta needs — variable indexing, constraint views,
-	// the same-form unsat precheck. The skeleton depends only on the
-	// expression (hash-consed, so pointer-keyed), not on the box it is
-	// propagated against, and the interval backend propagates the same
-	// branch constraints against many boxes as the exploration revisits
-	// sibling subtrees.
+	// propTpl caches, per constraint expression, the problem skeleton
+	// PropagateDelta needs — variable indexing, constraint views, the
+	// same-form unsat precheck, and each variable's position in the box.
+	// The skeleton depends only on the expression (hash-consed, so
+	// pointer-keyed) and the universe, not on the box it is propagated
+	// against, and the interval backend propagates the same branch
+	// constraints against many boxes as the exploration revisits sibling
+	// subtrees.
 	propTpl map[sym.Expr]*propTemplate
+	// scratch holds the problem-local domains of one PropagateDelta call.
+	scratch []Interval
 }
 
 // propTemplate is the reusable, read-only part of a PropagateDelta problem.
 type propTemplate struct {
 	varNames     []string
-	varIdx       map[string]int
 	views        []conView
 	trivialUnsat bool
+	// u is the universe uidx was resolved against; uidx[i] is the box
+	// position of varNames[i], or -1 when the universe does not declare it.
+	u    *Universe
+	uidx []int
+}
+
+// Universe is a fixed, sorted set of variable names. A box over a universe
+// is a []Interval holding one domain per name, in the universe's order, so
+// snapshots copy a flat slice and propagation reads a domain by position.
+type Universe struct {
+	names []string
+	index map[string]int
+}
+
+// NewUniverse returns the universe of the declared variables together with
+// the box of their domains.
+func NewUniverse(domains map[string]Interval) (*Universe, []Interval) {
+	u := &Universe{names: make([]string, 0, len(domains)), index: make(map[string]int, len(domains))}
+	for n := range domains {
+		u.names = append(u.names, n)
+	}
+	sort.Strings(u.names)
+	box := make([]Interval, len(u.names))
+	for i, n := range u.names {
+		u.index[n] = i
+		box[i] = domains[n]
+	}
+	return u, box
+}
+
+// Names returns the universe's variable names in box order.
+func (u *Universe) Names() []string { return u.names }
+
+// position returns the box index of name, or -1 when it is undeclared.
+func (u *Universe) position(name string) int {
+	if i, ok := u.index[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // New returns a Solver.
@@ -99,17 +141,77 @@ func (s *Solver) ResetStats() { s.stats = Stats{} }
 
 // Check decides satisfiability of the conjunction of constraints, with each
 // variable restricted to the domain in domains. Variables that occur in the
-// constraints but not in domains get DefaultDomain.
+// constraints but not in domains get DefaultDomain. A model covers every
+// variable of domains; the unconstrained ones sit at their domain's Lo.
 func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Result {
+	p := s.problemFor(constraints)
+	extra := 0
+	for i, name := range p.varNames {
+		d, ok := domains[name]
+		if !ok {
+			d = DefaultDomain
+			extra++
+		}
+		p.domains[i] = d
+	}
+	return s.finish(p, func(final []Interval) map[string]int64 {
+		model := make(map[string]int64, len(domains)+extra)
+		for name, d := range domains {
+			model[name] = d.Lo
+		}
+		return p.fillModel(model, final)
+	})
+}
+
+// CheckBox is Check over a box of universe u: box[i] is the domain of
+// u.Names()[i]. The problem it solves is sized by the variables its
+// constraints mention, whatever the width of the box.
+func (s *Solver) CheckBox(constraints []sym.Expr, u *Universe, box []Interval) Result {
+	p := s.problemFor(constraints)
+	extra := 0
+	for i, name := range p.varNames {
+		if j := u.position(name); j >= 0 {
+			p.domains[i] = box[j]
+		} else {
+			p.domains[i] = DefaultDomain
+			extra++
+		}
+	}
+	return s.finish(p, func(final []Interval) map[string]int64 {
+		model := make(map[string]int64, len(box)+extra)
+		for i, name := range u.names {
+			model[name] = box[i].Lo
+		}
+		return p.fillModel(model, final)
+	})
+}
+
+// problemFor compiles constraints into a problem whose domains the caller
+// fills in.
+func (s *Solver) problemFor(constraints []sym.Expr) *problem {
 	s.stats.Calls++
 	var compiled []*constraint
 	for _, e := range constraints {
 		compiled = append(compiled, s.compile(e)...)
 	}
-	p := newProblem(compiled, domains)
+	p := newProblem(compiled)
+	p.domains = make([]Interval, len(p.varNames))
 	p.interrupt = s.opts.Interrupt
+	return p
+}
+
+// finish solves p and tallies the verdict; model builds a Sat result's
+// model from the problem's final domains.
+func (s *Solver) finish(p *problem, model func(final []Interval) map[string]int64) Result {
 	budget := s.opts.NodeBudget
-	res := p.solve(&s.stats, &budget)
+	var res Result
+	if !p.trivialUnsat {
+		final, unknown := p.search(p.domains, &s.stats, &budget)
+		res.Unknown = unknown
+		if final != nil {
+			res = Result{Sat: true, Model: model(final)}
+		}
+	}
 	switch {
 	case res.Sat:
 		s.stats.Sat++
@@ -122,63 +224,87 @@ func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Resu
 }
 
 // PropagateDelta tightens the domains of the variables mentioned by the
-// constraints to bounds consistency, without searching. Domains are read
-// from base (falling back to DefaultDomain); the returned delta holds ONLY
-// the mentioned variables' tightened domains, so callers propagating one
-// new conjunct against a large box pay for the conjunct's variables, not
-// the whole box. ok is false when propagation proves the conjunction
-// unsatisfiable over base (some domain became empty, or two constraints
-// over the same linear form have an empty intersection).
+// constraints to bounds consistency, without searching. base is a box of
+// universe u; the returned box is base itself when nothing tightened, and
+// otherwise a copy with the tightened domains written in, so callers
+// propagating one new conjunct against a large box pay for the conjunct's
+// variables plus one flat copy, and long runs of already-satisfied frames
+// share one box. Variables u does not declare start at DefaultDomain and
+// their tightening is not kept. ok is false when propagation proves the
+// conjunction unsatisfiable over base (some domain became empty, or two
+// constraints over the same linear form have an empty intersection).
 //
 // residual lists the atoms (after conjunction flattening) that the
-// tightened box does NOT entail: an atom missing from it is satisfied by
+// returned box does NOT entail: an atom missing from it is satisfied by
 // every assignment inside the box, so a later search within the box may
-// drop it. Deep assertion stacks reduce to short residual lists — the
-// second half of what makes per-frame snapshots pay off in
-// internal/constraint.
+// drop it. An atom over an undeclared variable is always residual, since
+// the box does not record that variable's tightening. Deep assertion stacks
+// reduce to short residual lists — the second half of what makes per-frame
+// snapshots pay off in internal/constraint.
 //
-// base overlaid with the delta is a sound over-approximation of the
-// solution set: every assignment satisfying the constraints within base
-// lies in it.
-func (s *Solver) PropagateDelta(constraints []sym.Expr, base map[string]Interval) (delta map[string]Interval, residual []sym.Expr, ok bool) {
-	tpl := s.propTemplateFor(constraints)
+// The returned box is a sound over-approximation of the solution set:
+// every assignment satisfying the constraints within base lies in it.
+func (s *Solver) PropagateDelta(constraints []sym.Expr, u *Universe, base []Interval) (box []Interval, residual []sym.Expr, ok bool) {
+	tpl := s.propTemplateFor(constraints, u)
 	if tpl.trivialUnsat {
 		return nil, nil, false
 	}
 	if len(tpl.views) == 0 {
-		return nil, nil, true
+		return base, nil, true
 	}
-	box := make([]Interval, len(tpl.varNames))
-	for i, name := range tpl.varNames {
-		if d, ok := base[name]; ok {
-			box[i] = d
+	if cap(s.scratch) < len(tpl.uidx) {
+		s.scratch = make([]Interval, len(tpl.uidx))
+	}
+	local := s.scratch[:len(tpl.uidx)]
+	for i, j := range tpl.uidx {
+		if j >= 0 {
+			local[i] = base[j]
 		} else {
-			box[i] = DefaultDomain
+			local[i] = DefaultDomain
 		}
 	}
-	p := problem{varNames: tpl.varNames, varIdx: tpl.varIdx, views: tpl.views, interrupt: s.opts.Interrupt}
-	if !p.propagate(box, &s.stats) {
+	p := problem{varNames: tpl.varNames, views: tpl.views, interrupt: s.opts.Interrupt}
+	if !p.propagate(local, &s.stats) {
 		return nil, nil, false
 	}
 	for i := range p.views {
-		if p.truthOf(&p.views[i], box) != truthTrue {
-			residual = append(residual, p.views[i].c.expr)
+		v := &p.views[i]
+		if p.truthOf(v, local) != truthTrue || tpl.undeclared(v) {
+			residual = append(residual, v.c.expr)
 		}
 	}
-	delta = make(map[string]Interval, len(tpl.varNames))
-	for i, name := range tpl.varNames {
-		delta[name] = box[i]
+	box = base
+	copied := false
+	for i, j := range tpl.uidx {
+		if j < 0 || local[i] == base[j] {
+			continue
+		}
+		if !copied {
+			box, copied = slices.Clone(base), true
+		}
+		box[j] = local[i]
 	}
-	return delta, residual, true
+	return box, residual, true
+}
+
+// undeclared reports whether a view mentions a variable outside the
+// template's universe.
+func (tpl *propTemplate) undeclared(v *conView) bool {
+	for _, i := range v.vars {
+		if tpl.uidx[i] < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // propTemplateFor resolves the problem skeleton for a constraint list. The
 // single-expression case — the interval backend propagates one frame's one
 // conjunct — is served from the pointer-keyed template cache; multi-expr
 // lists (rare: concatenated residuals) are built ad hoc.
-func (s *Solver) propTemplateFor(constraints []sym.Expr) *propTemplate {
+func (s *Solver) propTemplateFor(constraints []sym.Expr, u *Universe) *propTemplate {
 	if len(constraints) == 1 {
-		if tpl, ok := s.propTpl[constraints[0]]; ok {
+		if tpl, ok := s.propTpl[constraints[0]]; ok && tpl.u == u {
 			return tpl
 		}
 	}
@@ -186,16 +312,13 @@ func (s *Solver) propTemplateFor(constraints []sym.Expr) *propTemplate {
 	for _, e := range constraints {
 		compiled = append(compiled, s.compile(e)...)
 	}
-	var tpl *propTemplate
-	if len(compiled) == 0 {
-		tpl = &propTemplate{}
-	} else {
-		p := newProblem(compiled, nil)
-		tpl = &propTemplate{
-			varNames:     p.varNames,
-			varIdx:       p.varIdx,
-			views:        p.views,
-			trivialUnsat: p.trivialUnsat,
+	tpl := &propTemplate{u: u}
+	if len(compiled) > 0 {
+		p := newProblem(compiled)
+		tpl.varNames, tpl.views, tpl.trivialUnsat = p.varNames, p.views, p.trivialUnsat
+		tpl.uidx = make([]int, len(p.varNames))
+		for i, name := range p.varNames {
+			tpl.uidx[i] = u.position(name)
 		}
 	}
 	if len(constraints) == 1 {
@@ -220,6 +343,8 @@ type constraint struct {
 	lin  sym.Linear // linear form, conLinear only
 	op   sym.Op     // OpLE, OpEQ or OpNE, conLinear only
 	vars []string   // sorted variable names mentioned
+	// coeffs[i] is the coefficient of vars[i], conLinear only.
+	coeffs []int64
 }
 
 // compile normalizes e into linear/opaque constraints, flattening top-level
@@ -320,7 +445,12 @@ func boolToInt(e sym.Expr) sym.Expr {
 }
 
 func finishLinear(e sym.Expr, lin sym.Linear, op sym.Op) *constraint {
-	return &constraint{kind: conLinear, expr: e, lin: lin, op: op, vars: lin.Vars()}
+	c := &constraint{kind: conLinear, expr: e, lin: lin, op: op, vars: lin.Vars()}
+	c.coeffs = make([]int64, len(c.vars))
+	for i, name := range c.vars {
+		c.coeffs[i] = lin.Coeffs[name]
+	}
+	return c
 }
 
 func opaque(e sym.Expr) *constraint {
@@ -341,10 +471,11 @@ type conView struct {
 	vars  []int  // variable indices, all kinds
 }
 
-// problem is one Check instance.
+// problem is one Check instance. It indexes only the variables its
+// constraints mention, sorted by name, so its cost tracks the constraints
+// and not the width of the box they are checked against.
 type problem struct {
 	varNames []string
-	varIdx   map[string]int
 	domains  []Interval
 	views    []conView
 	// trivialUnsat is set when same-form analysis found two linear
@@ -357,44 +488,38 @@ type problem struct {
 	interrupt func() error
 }
 
-func newProblem(constraints []*constraint, domains map[string]Interval) *problem {
-	p := &problem{varIdx: map[string]int{}}
-	// Collect variables across all constraints plus every variable the
-	// caller declared a domain for (so models always cover all inputs,
-	// including unconstrained ones), deterministically.
-	nameSet := map[string]bool{}
+func newProblem(constraints []*constraint) *problem {
+	p := &problem{}
+	nVars, nTerms := 0, 0
 	for _, c := range constraints {
-		for _, n := range c.vars {
-			nameSet[n] = true
-		}
+		nVars += len(c.vars)
+		nTerms += len(c.coeffs)
 	}
-	for n := range domains {
-		nameSet[n] = true
-	}
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
+	names := make([]string, 0, nVars)
+	for _, c := range constraints {
+		names = append(names, c.vars...)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		p.varIdx[n] = len(p.varNames)
-		p.varNames = append(p.varNames, n)
-		d, ok := domains[n]
-		if !ok {
-			d = DefaultDomain
-		}
-		p.domains = append(p.domains, d)
-	}
+	p.varNames = slices.Compact(names)
+	// Each view's index and term lists are windows of two shared arrays.
+	idx := make([]int, 0, nVars)
+	terms := make([]term, 0, nTerms)
+	p.views = make([]conView, 0, len(constraints))
 	for _, c := range constraints {
 		v := conView{c: c, konst: c.lin.Const}
+		start := len(idx)
 		for _, name := range c.vars {
-			v.vars = append(v.vars, p.varIdx[name])
+			idx = append(idx, p.index(name))
 		}
+		v.vars = idx[start:len(idx):len(idx)]
 		if c.kind == conLinear {
-			for name, coeff := range c.lin.Coeffs {
-				v.terms = append(v.terms, term{idx: p.varIdx[name], coeff: coeff})
+			// c.vars is sorted like p.varNames, so the terms come out in
+			// index order.
+			tstart := len(terms)
+			for i, coeff := range c.coeffs {
+				terms = append(terms, term{idx: v.vars[i], coeff: coeff})
 			}
-			sort.Slice(v.terms, func(i, j int) bool { return v.terms[i].idx < v.terms[j].idx })
+			v.terms = terms[tstart:len(terms):len(terms)]
 		}
 		p.views = append(p.views, v)
 	}
@@ -402,12 +527,40 @@ func newProblem(constraints []*constraint, domains map[string]Interval) *problem
 	return p
 }
 
+// index returns the position of a variable the problem's constraints
+// mention, or -1.
+func (p *problem) index(name string) int {
+	if i, ok := slices.BinarySearch(p.varNames, name); ok {
+		return i
+	}
+	return -1
+}
+
+// fillModel writes the problem variables' values from final into model.
+func (p *problem) fillModel(model map[string]int64, final []Interval) map[string]int64 {
+	for i, name := range p.varNames {
+		model[name] = final[i].Lo
+	}
+	return model
+}
+
 // intersectForms groups linear constraints by their (sign-normalized) term
 // vector and intersects the ranges they impose on the shared form. An empty
 // intersection proves unsatisfiability without any propagation.
 func (p *problem) intersectForms() {
 	type rng struct{ lo, hi int64 }
-	forms := map[string]*rng{}
+	linear := 0
+	for i := range p.views {
+		if p.views[i].c.kind == conLinear && len(p.views[i].terms) > 0 {
+			linear++
+		}
+	}
+	// A lone linear constraint has no form to share, so its range is
+	// checked on its own without building keys.
+	var forms map[string]rng
+	if linear > 1 {
+		forms = map[string]rng{}
+	}
 	for i := range p.views {
 		v := &p.views[i]
 		if v.c.kind != conLinear || len(v.terms) == 0 {
@@ -419,17 +572,19 @@ func (p *problem) intersectForms() {
 		if v.terms[0].coeff < 0 {
 			sign = -1
 		}
-		key := make([]byte, 0, len(v.terms)*8)
-		for _, t := range v.terms {
-			key = strconv.AppendInt(key, int64(t.idx), 10)
-			key = append(key, ':')
-			key = strconv.AppendInt(key, sign*t.coeff, 10)
-			key = append(key, ';')
-		}
-		r, ok := forms[string(key)]
-		if !ok {
-			r = &rng{lo: -satBound, hi: satBound}
-			forms[string(key)] = r
+		r := rng{lo: -satBound, hi: satBound}
+		var key []byte
+		if forms != nil {
+			key = make([]byte, 0, len(v.terms)*8)
+			for _, t := range v.terms {
+				key = strconv.AppendInt(key, int64(t.idx), 10)
+				key = append(key, ':')
+				key = strconv.AppendInt(key, sign*t.coeff, 10)
+				key = append(key, ';')
+			}
+			if old, ok := forms[string(key)]; ok {
+				r = old
+			}
 		}
 		// Constraint: Σ terms + konst ⋈ 0, i.e. sign*Σ' + konst ⋈ 0 where
 		// Σ' is the normalized form.
@@ -448,6 +603,9 @@ func (p *problem) intersectForms() {
 		if r.lo > r.hi {
 			p.trivialUnsat = true
 			return
+		}
+		if forms != nil {
+			forms[string(key)] = r
 		}
 	}
 }

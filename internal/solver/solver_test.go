@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -543,16 +544,21 @@ func TestPropagateDeltaTemplateReuse(t *testing.T) {
 	}
 	wantHi := []int64{9, 5, 0, 9} // tightened X.Hi; third is a conflict
 	wantOK := []bool{true, true, false, true}
-	for i, base := range boxes {
-		delta, residual, ok := s.PropagateDelta([]sym.Expr{c}, base)
+	u, _ := NewUniverse(boxes[0])
+	for i, domains := range boxes {
+		_, base := NewUniverse(domains)
+		box, residual, ok := s.PropagateDelta([]sym.Expr{c}, u, base)
 		if ok != wantOK[i] {
 			t.Fatalf("call %d: ok = %v, want %v", i, ok, wantOK[i])
 		}
 		if !ok {
 			continue
 		}
-		if d := delta["X"]; d.Hi != wantHi[i] || d.Lo != base["X"].Lo {
-			t.Fatalf("call %d: delta X = %+v, want Hi %d", i, d, wantHi[i])
+		if d := box[0]; d.Hi != wantHi[i] || d.Lo != domains["X"].Lo {
+			t.Fatalf("call %d: box X = %+v, want Hi %d", i, d, wantHi[i])
+		}
+		if base[0] != domains["X"] {
+			t.Fatalf("call %d: base box written: %+v", i, base[0])
 		}
 		// X < 10 is entailed by every box the propagation produces here, so
 		// nothing is residual.
@@ -575,10 +581,11 @@ func TestPropagateDeltaTemplateReuse(t *testing.T) {
 // template construction without any propagation.
 func TestPropagateDeltaTrivialCases(t *testing.T) {
 	s := New(Options{})
-	if delta, residual, ok := s.PropagateDelta(nil, dom(0, 10)); !ok || delta != nil || residual != nil {
-		t.Fatalf("empty constraint list: got (%v, %v, %v)", delta, residual, ok)
+	u, base := NewUniverse(dom(0, 10))
+	if box, residual, ok := s.PropagateDelta(nil, u, base); !ok || &box[0] != &base[0] || residual != nil {
+		t.Fatalf("empty constraint list: got (%v, %v, %v), want the base box shared", box, residual, ok)
 	}
-	if _, _, ok := s.PropagateDelta([]sym.Expr{sym.True}, dom(0, 10)); !ok {
+	if _, _, ok := s.PropagateDelta([]sym.Expr{sym.True}, u, base); !ok {
 		t.Fatalf("trivially-true constraint must propagate ok")
 	}
 	// X - Y == 0 together with X - Y >= 1 in one conjunction: the same-form
@@ -587,7 +594,45 @@ func TestPropagateDeltaTrivialCases(t *testing.T) {
 		sym.Cmp(sym.OpEQ, sym.Sub(x(), y()), sym.Zero),
 		sym.Cmp(sym.OpGE, sym.Sub(x(), y()), sym.One),
 	)
-	if _, _, ok := s.PropagateDelta([]sym.Expr{contradiction}, dom(0, 1000)); ok {
+	u, base = NewUniverse(dom(0, 1000))
+	if _, _, ok := s.PropagateDelta([]sym.Expr{contradiction}, u, base); ok {
 		t.Fatalf("same-form contradiction not refuted")
+	}
+}
+
+// TestCheckAllocsIndependentOfBoxWidth gates the problem sizing: a Check of
+// one two-variable constraint builds a problem over those two variables
+// only, so it allocates as often against a box declaring 8 other inputs as
+// against one declaring 512. The model still covers every declared input;
+// its map is the one box-sized allocation, and a hash map of 10 or of 514
+// entries takes the same number of allocations.
+func TestCheckAllocsIndependentOfBoxWidth(t *testing.T) {
+	cs := []sym.Expr{sym.Cmp(sym.OpLT, sym.Add(x(), y()), sym.Int(10))}
+	allocs := func(others int) (check, checkBox float64) {
+		domains := dom(0, 1_000_000)
+		for i := 0; i < others; i++ {
+			domains[fmt.Sprintf("V%03d", i)] = DefaultDomain
+		}
+		u, box := NewUniverse(domains)
+		s := New(Options{})
+		check = testing.AllocsPerRun(50, func() {
+			if !s.Check(cs, domains).Sat {
+				t.Fatal("X + Y < 10 must be sat")
+			}
+		})
+		checkBox = testing.AllocsPerRun(50, func() {
+			if !s.CheckBox(cs, u, box).Sat {
+				t.Fatal("X + Y < 10 must be sat")
+			}
+		})
+		return check, checkBox
+	}
+	narrow, narrowBox := allocs(8)
+	wide, wideBox := allocs(512)
+	if narrow != wide {
+		t.Errorf("Check allocates %.0f times against 10 declared inputs, %.0f against 514", narrow, wide)
+	}
+	if narrowBox != wideBox {
+		t.Errorf("CheckBox allocates %.0f times against 10 declared inputs, %.0f against 514", narrowBox, wideBox)
 	}
 }
