@@ -504,10 +504,10 @@ func BenchmarkSolverLinearSystem(b *testing.B) {
 		sym.Cmp(sym.OpEQ, sym.Sub(x, y), sym.Int(4)),
 		sym.Cmp(sym.OpGE, x, sym.Zero),
 	}
-	domains := map[string]solver.Interval{"X": solver.DefaultDomain, "Y": solver.DefaultDomain}
+	u, box := solver.NewUniverse(map[string]solver.Interval{"X": solver.DefaultDomain, "Y": solver.DefaultDomain})
 	s := solver.New(solver.Options{})
 	for i := 0; i < b.N; i++ {
-		if res := s.Check(cs, domains); !res.Sat {
+		if res := s.Check(cs, u, box); !res.Sat {
 			b.Fatal("must be sat")
 		}
 	}
@@ -520,10 +520,10 @@ func BenchmarkSolverUnsatChain(b *testing.B) {
 		cs = append(cs, sym.Cmp(sym.OpNE, x, sym.Int(k)))
 	}
 	cs = append(cs, sym.Cmp(sym.OpLE, x, sym.Int(9)))
-	domains := map[string]solver.Interval{"X": {Lo: 0, Hi: 9}}
+	u, box := solver.NewUniverse(map[string]solver.Interval{"X": {Lo: 0, Hi: 9}})
 	s := solver.New(solver.Options{})
 	for i := 0; i < b.N; i++ {
-		if res := s.Check(cs, domains); res.Sat {
+		if res := s.Check(cs, u, box); res.Sat {
 			b.Fatal("must be unsat")
 		}
 	}

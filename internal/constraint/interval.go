@@ -162,7 +162,7 @@ func (b *intervalBackend) check() Result {
 		// ignoring every snapshot. (Expression compilation inside the inner
 		// solver is still cached — it always was.)
 		b.stats.FullSolves++
-		r := b.inner.CheckBox(b.stackExprs(), b.vars, b.domains)
+		r := b.inner.Check(b.stackExprs(), b.vars, b.domains)
 		return Result{Sat: r.Sat, Unknown: r.Unknown, Model: r.Model}
 	}
 	if top.res != nil {
@@ -217,7 +217,7 @@ func (b *intervalBackend) check() Result {
 	// conjunction is outside it, and inside it the dropped atoms are
 	// vacuous).
 	b.stats.FullSolves++
-	r := b.inner.CheckBox(b.stackResidual(), b.vars, box)
+	r := b.inner.Check(b.stackResidual(), b.vars, box)
 	res := Result{Sat: r.Sat, Unknown: r.Unknown, Model: r.Model}
 	if !res.Unknown {
 		// Unknown verdicts are budget- and timing-dependent; never memoize

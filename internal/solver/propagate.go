@@ -117,7 +117,7 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (model [
 // searchWithout recurses with one constraint removed (it has been decided
 // true concretely).
 func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Stats, budget *int) ([]Interval, bool) {
-	sub := &problem{varNames: p.varNames, domains: p.domains, interrupt: p.interrupt}
+	sub := &problem{varNames: p.varNames, interrupt: p.interrupt}
 	for _, v := range p.views {
 		if v.c != drop {
 			sub.views = append(sub.views, v)

@@ -139,77 +139,44 @@ func (s *Solver) Stats() Stats { return s.stats }
 // ResetStats zeroes the counters.
 func (s *Solver) ResetStats() { s.stats = Stats{} }
 
-// Check decides satisfiability of the conjunction of constraints, with each
-// variable restricted to the domain in domains. Variables that occur in the
-// constraints but not in domains get DefaultDomain. A model covers every
-// variable of domains; the unconstrained ones sit at their domain's Lo.
-func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Result {
-	p := s.problemFor(constraints)
-	extra := 0
-	for i, name := range p.varNames {
-		d, ok := domains[name]
-		if !ok {
-			d = DefaultDomain
-			extra++
-		}
-		p.domains[i] = d
-	}
-	return s.finish(p, func(final []Interval) map[string]int64 {
-		model := make(map[string]int64, len(domains)+extra)
-		for name, d := range domains {
-			model[name] = d.Lo
-		}
-		return p.fillModel(model, final)
-	})
-}
-
-// CheckBox is Check over a box of universe u: box[i] is the domain of
-// u.Names()[i]. The problem it solves is sized by the variables its
-// constraints mention, whatever the width of the box.
-func (s *Solver) CheckBox(constraints []sym.Expr, u *Universe, box []Interval) Result {
-	p := s.problemFor(constraints)
-	extra := 0
-	for i, name := range p.varNames {
-		if j := u.position(name); j >= 0 {
-			p.domains[i] = box[j]
-		} else {
-			p.domains[i] = DefaultDomain
-			extra++
-		}
-	}
-	return s.finish(p, func(final []Interval) map[string]int64 {
-		model := make(map[string]int64, len(box)+extra)
-		for i, name := range u.names {
-			model[name] = box[i].Lo
-		}
-		return p.fillModel(model, final)
-	})
-}
-
-// problemFor compiles constraints into a problem whose domains the caller
-// fills in.
-func (s *Solver) problemFor(constraints []sym.Expr) *problem {
+// Check decides satisfiability of the conjunction of constraints over a box
+// of universe u: box[i] is the domain of u.Names()[i], and variables that
+// occur in the constraints but not in u get DefaultDomain. The problem it
+// solves is sized by the variables its constraints mention, whatever the
+// width of the box. A model covers every variable of u; the unconstrained
+// ones sit at their box domain's Lo.
+func (s *Solver) Check(constraints []sym.Expr, u *Universe, box []Interval) Result {
 	s.stats.Calls++
 	var compiled []*constraint
 	for _, e := range constraints {
 		compiled = append(compiled, s.compile(e)...)
 	}
 	p := newProblem(compiled)
-	p.domains = make([]Interval, len(p.varNames))
 	p.interrupt = s.opts.Interrupt
-	return p
-}
-
-// finish solves p and tallies the verdict; model builds a Sat result's
-// model from the problem's final domains.
-func (s *Solver) finish(p *problem, model func(final []Interval) map[string]int64) Result {
-	budget := s.opts.NodeBudget
+	domains := make([]Interval, len(p.varNames))
+	undeclared := 0
+	for i, name := range p.varNames {
+		if j := u.position(name); j >= 0 {
+			domains[i] = box[j]
+		} else {
+			domains[i] = DefaultDomain
+			undeclared++
+		}
+	}
 	var res Result
 	if !p.trivialUnsat {
-		final, unknown := p.search(p.domains, &s.stats, &budget)
+		budget := s.opts.NodeBudget
+		final, unknown := p.search(domains, &s.stats, &budget)
 		res.Unknown = unknown
 		if final != nil {
-			res = Result{Sat: true, Model: model(final)}
+			model := make(map[string]int64, len(box)+undeclared)
+			for i, name := range u.names {
+				model[name] = box[i].Lo
+			}
+			for i, name := range p.varNames {
+				model[name] = final[i].Lo
+			}
+			res = Result{Sat: true, Model: model}
 		}
 	}
 	switch {
@@ -476,7 +443,6 @@ type conView struct {
 // and not the width of the box they are checked against.
 type problem struct {
 	varNames []string
-	domains  []Interval
 	views    []conView
 	// trivialUnsat is set when same-form analysis found two linear
 	// constraints over the same term vector with incompatible ranges
@@ -534,14 +500,6 @@ func (p *problem) index(name string) int {
 		return i
 	}
 	return -1
-}
-
-// fillModel writes the problem variables' values from final into model.
-func (p *problem) fillModel(model map[string]int64, final []Interval) map[string]int64 {
-	for i, name := range p.varNames {
-		model[name] = final[i].Lo
-	}
-	return model
 }
 
 // intersectForms groups linear constraints by their (sign-normalized) term

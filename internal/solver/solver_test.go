@@ -10,12 +10,17 @@ import (
 
 func check(t *testing.T, cs []sym.Expr, domains map[string]Interval) Result {
 	t.Helper()
-	s := New(Options{})
-	res := s.Check(cs, domains)
+	res := solve(New(Options{}), cs, domains)
 	if res.Unknown {
 		t.Fatalf("solver gave up on %s", sym.Conjoin(cs))
 	}
 	return res
+}
+
+// solve checks cs over the box of the declared domains.
+func solve(s *Solver, cs []sym.Expr, domains map[string]Interval) Result {
+	u, box := NewUniverse(domains)
+	return s.Check(cs, u, box)
 }
 
 func x() sym.Expr { return sym.V("X") }
@@ -245,7 +250,7 @@ func TestCheckSameFormContradictionIsFast(t *testing.T) {
 		sym.Cmp(sym.OpEQ, x(), y()),
 	}
 	s := New(Options{})
-	res := s.Check(cs, dom(0, 1_000_000))
+	res := solve(s, cs, dom(0, 1_000_000))
 	if res.Sat || res.Unknown {
 		t.Fatalf("must be unsat, got sat=%v unknown=%v", res.Sat, res.Unknown)
 	}
@@ -258,7 +263,7 @@ func TestCheckSameFormContradictionIsFast(t *testing.T) {
 		sym.Cmp(sym.OpLT, sym.Sub(y(), x()), sym.Zero), // Y - X < 0  ≡  X > Y
 		sym.Cmp(sym.OpEQ, sym.Sub(x(), y()), sym.Zero),
 	}
-	res = s.Check(cs, dom(0, 1_000_000))
+	res = solve(s, cs, dom(0, 1_000_000))
 	if res.Sat || res.Unknown {
 		t.Fatal("sign-normalized forms must share a key")
 	}
@@ -267,7 +272,7 @@ func TestCheckSameFormContradictionIsFast(t *testing.T) {
 		sym.Cmp(sym.OpGE, sym.Sub(x(), y()), sym.Int(2)),
 		sym.Cmp(sym.OpLE, sym.Sub(x(), y()), sym.Int(5)),
 	}
-	res = s.Check(cs, dom(0, 1_000_000))
+	res = solve(s, cs, dom(0, 1_000_000))
 	if !res.Sat {
 		t.Fatal("compatible ranges over one form must be sat")
 	}
@@ -310,7 +315,7 @@ func TestCheckLargeDomainPropagation(t *testing.T) {
 	}
 	verifyModel(t, cs, res.Model)
 	s := New(Options{})
-	r2 := s.Check(cs, map[string]Interval{"X": DefaultDomain, "Y": DefaultDomain})
+	r2 := solve(s, cs, map[string]Interval{"X": DefaultDomain, "Y": DefaultDomain})
 	if s.Stats().SearchNodes > 1000 {
 		t.Errorf("propagation too weak: %d search nodes", s.Stats().SearchNodes)
 	}
@@ -325,7 +330,7 @@ func TestNodeBudgetGivesUnknown(t *testing.T) {
 		sym.Cmp(sym.OpGT, y(), sym.One),
 	}
 	s := New(Options{NodeBudget: 10})
-	res := s.Check(cs, dom(0, 1_000_000))
+	res := solve(s, cs, dom(0, 1_000_000))
 	if res.Sat {
 		t.Fatalf("unexpected sat: %v", res.Model)
 	}
@@ -339,8 +344,8 @@ func TestNodeBudgetGivesUnknown(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	s := New(Options{})
-	s.Check([]sym.Expr{sym.Cmp(sym.OpGT, x(), sym.Int(5))}, map[string]Interval{"X": {0, 10}})
-	s.Check([]sym.Expr{sym.Cmp(sym.OpGT, x(), sym.Int(50))}, map[string]Interval{"X": {0, 10}})
+	solve(s, []sym.Expr{sym.Cmp(sym.OpGT, x(), sym.Int(5))}, map[string]Interval{"X": {0, 10}})
+	solve(s, []sym.Expr{sym.Cmp(sym.OpGT, x(), sym.Int(50))}, map[string]Interval{"X": {0, 10}})
 	st := s.Stats()
 	if st.Calls != 2 || st.Sat != 1 || st.Unsat != 1 {
 		t.Errorf("stats = %+v, want 2 calls, 1 sat, 1 unsat", st)
@@ -403,7 +408,7 @@ func TestPropertySolverMatchesBruteForce(t *testing.T) {
 			}
 		}
 		s := New(Options{})
-		res := s.Check(cs, dom(lo, hi))
+		res := solve(s, cs, dom(lo, hi))
 		if res.Unknown {
 			t.Fatalf("trial %d: solver gave up on %s", trial, sym.Conjoin(cs))
 		}
@@ -608,31 +613,20 @@ func TestPropagateDeltaTrivialCases(t *testing.T) {
 // entries takes the same number of allocations.
 func TestCheckAllocsIndependentOfBoxWidth(t *testing.T) {
 	cs := []sym.Expr{sym.Cmp(sym.OpLT, sym.Add(x(), y()), sym.Int(10))}
-	allocs := func(others int) (check, checkBox float64) {
+	allocs := func(others int) float64 {
 		domains := dom(0, 1_000_000)
 		for i := 0; i < others; i++ {
 			domains[fmt.Sprintf("V%03d", i)] = DefaultDomain
 		}
 		u, box := NewUniverse(domains)
 		s := New(Options{})
-		check = testing.AllocsPerRun(50, func() {
-			if !s.Check(cs, domains).Sat {
+		return testing.AllocsPerRun(50, func() {
+			if !s.Check(cs, u, box).Sat {
 				t.Fatal("X + Y < 10 must be sat")
 			}
 		})
-		checkBox = testing.AllocsPerRun(50, func() {
-			if !s.CheckBox(cs, u, box).Sat {
-				t.Fatal("X + Y < 10 must be sat")
-			}
-		})
-		return check, checkBox
 	}
-	narrow, narrowBox := allocs(8)
-	wide, wideBox := allocs(512)
-	if narrow != wide {
+	if narrow, wide := allocs(8), allocs(512); narrow != wide {
 		t.Errorf("Check allocates %.0f times against 10 declared inputs, %.0f against 514", narrow, wide)
-	}
-	if narrowBox != wideBox {
-		t.Errorf("CheckBox allocates %.0f times against 10 declared inputs, %.0f against 514", narrowBox, wideBox)
 	}
 }
