@@ -59,8 +59,6 @@ type Runner struct {
 	unExWrite cfg.Bitset
 	stopped   bool
 
-	// affected is ACN ∪ AWN, for collect's affectedness test.
-	affected cfg.Bitset
 	// reset is affectedLocIsReachable's mask of the nodes reachable from
 	// the unexplored affected nodes in reach, reused across calls. Safe
 	// without locking: every Pruner hook runs on the committed walk's
@@ -106,16 +104,13 @@ func NewRunner(engine *symexec.Engine, affected *Affected) *Runner {
 		exWrite:   cfg.NewBitset(n),
 		unExCond:  cfg.NewBitset(n),
 		unExWrite: cfg.NewBitset(n),
-		affected:  cfg.NewBitset(n),
 		reset:     cfg.NewBitset(n),
 	}
 	for id := range affected.ACN {
 		r.unExCond.Set(id)
-		r.affected.Set(id)
 	}
 	for id := range affected.AWN {
 		r.unExWrite.Set(id)
-		r.affected.Set(id)
 	}
 	return r
 }
@@ -249,7 +244,7 @@ func (r *Runner) collect(s *symexec.State) {
 	}
 	affected := false
 	for _, id := range trace {
-		if r.affected.Has(id) {
+		if r.isAffected(id) {
 			affected = true
 			break
 		}
@@ -259,7 +254,7 @@ func (r *Runner) collect(s *symexec.State) {
 	// internal/symexec/merge.go) and count toward affectedness the same way.
 	if !affected {
 		for _, id := range s.Cover {
-			if r.affected.Has(id) {
+			if r.isAffected(id) {
 				affected = true
 				break
 			}
@@ -276,6 +271,14 @@ func (r *Runner) collect(s *symexec.State) {
 		r.stopped = true
 	}
 	r.summary.Paths = append(r.summary.Paths, path)
+}
+
+// isAffected reports whether node id is in ACN ∪ AWN: the searches move
+// affected nodes between the explored and unexplored sets of their kind,
+// never out of both.
+func (r *Runner) isAffected(id int) bool {
+	w, bit := id/64, uint64(1)<<(uint(id)%64)
+	return (r.exCond[w]|r.unExCond[w]|r.exWrite[w]|r.unExWrite[w])&bit != 0
 }
 
 // updateExploredSet is UpdateExploredSet of Fig. 6 (lines 30–35).

@@ -94,8 +94,8 @@ type Universe struct {
 	index map[string]int
 }
 
-// NewUniverse returns the universe of the declared variables together with
-// the box of their domains.
+// NewUniverse returns the universe of the declared variables, sorted by
+// name, together with the box of their domains.
 func NewUniverse(domains map[string]Interval) (*Universe, []Interval) {
 	u := &Universe{names: make([]string, 0, len(domains)), index: make(map[string]int, len(domains))}
 	for n := range domains {
@@ -109,9 +109,6 @@ func NewUniverse(domains map[string]Interval) (*Universe, []Interval) {
 	}
 	return u, box
 }
-
-// Names returns the universe's variable names in box order.
-func (u *Universe) Names() []string { return u.names }
 
 // position returns the box index of name, or -1 when it is undeclared.
 func (u *Universe) position(name string) int {
@@ -140,7 +137,7 @@ func (s *Solver) Stats() Stats { return s.stats }
 func (s *Solver) ResetStats() { s.stats = Stats{} }
 
 // Check decides satisfiability of the conjunction of constraints over a box
-// of universe u: box[i] is the domain of u.Names()[i], and variables that
+// of universe u: box[i] is the domain of u's i-th name, and variables that
 // occur in the constraints but not in u get DefaultDomain. The problem it
 // solves is sized by the variables its constraints mention, whatever the
 // width of the box. A model covers every variable of u; the unconstrained
