@@ -36,6 +36,7 @@ import (
 	"dise/internal/lang/ast"
 	"dise/internal/lang/parser"
 	"dise/internal/lang/types"
+	"dise/internal/sym"
 	"dise/internal/symexec"
 	"dise/internal/testgen"
 )
@@ -368,19 +369,37 @@ type TestCase struct {
 	PathCondition string `json:"path_condition"`
 }
 
-// Tests solves the summary's path conditions into concrete test inputs.
+// Tests turns the summary's path conditions into concrete test inputs: each
+// path's exploration witness, re-solved only when it fails its path
+// condition.
 func (s *Summary) Tests() []TestCase {
 	return convertTests(testgen.NewGenerator(s.engine).Generate(s.summary))
 }
 
-// Tests solves the DiSE result's affected path conditions into concrete
-// test inputs for the modified version.
+// Tests turns the DiSE result's affected path conditions into concrete test
+// inputs for the modified version. Each test renders the witness the
+// exploration found for its path; a solver engine over the modified version
+// is built only if some path needs re-solving.
 func (r *Result) Tests() ([]TestCase, error) {
-	engine, err := symexec.New(r.modProg, r.procName, r.config)
+	var engine *symexec.Engine
+	var err error
+	g := &testgen.Generator{
+		Proc: r.modProg.Proc(r.procName),
+		Check: func(pc []sym.Expr) constraint.Result {
+			if engine == nil && err == nil {
+				engine, err = symexec.New(r.modProg, r.procName, r.config)
+			}
+			if err != nil {
+				return constraint.Result{Unknown: true}
+			}
+			return engine.CheckPC(pc)
+		},
+	}
+	tests := g.Generate(r.internal.Summary)
 	if err != nil {
 		return nil, err
 	}
-	return convertTests(testgen.NewGenerator(engine).Generate(r.internal.Summary)), nil
+	return convertTests(tests), nil
 }
 
 func convertTests(ts []testgen.TestCase) []TestCase {

@@ -99,10 +99,10 @@ func (o *oracleRunner) collect(s *symexec.State, summary *symexec.Summary) {
 	trace := s.Trace
 	switch s.Node.Kind {
 	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		trace = append(append([]int{}, s.Trace...), s.Node.ID)
+		trace = trace.Append(s.Node.ID)
 	}
 	affected := false
-	for _, id := range trace {
+	for _, id := range trace.Slice() {
 		if o.affected.Contains(id) {
 			affected = true
 			break

@@ -240,11 +240,11 @@ func (r *Runner) collect(s *symexec.State) {
 	trace := s.Trace
 	switch s.Node.Kind {
 	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		trace = append(append([]int{}, s.Trace...), s.Node.ID)
+		trace = trace.Append(s.Node.ID)
 	}
 	affected := false
-	for _, id := range trace {
-		if r.isAffected(id) {
+	for t := trace; t != nil; t = t.Prev() {
+		if r.isAffected(t.Last()) {
 			affected = true
 			break
 		}

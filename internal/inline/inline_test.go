@@ -94,7 +94,8 @@ proc run(int a, bool e) {
 	}
 	// Path 1 (enable): Acc = Acc + a + (a+1) = Acc + 2a + 1... check the
 	// final symbolic value mentions Acc and A.
-	got := summary.Paths[0].Env["Acc"].String()
+	acc, _ := summary.Paths[0].Env.Get("Acc")
+	got := acc.String()
 	if !strings.Contains(got, "Acc") || !strings.Contains(got, "A") {
 		t.Errorf("final Acc = %q, want expression over Acc and A", got)
 	}
@@ -197,8 +198,8 @@ proc main(int n) {
 	}
 	// On the n > 0 path, Count ends at Count + 3 (one branch bump, two
 	// loop bumps).
-	if got := summary.Paths[0].Env["Count"].String(); got != "Count + 3" {
-		t.Errorf("final Count = %q, want Count + 3", got)
+	if v, _ := summary.Paths[0].Env.Get("Count"); v.String() != "Count + 3" {
+		t.Errorf("final Count = %q, want Count + 3", v)
 	}
 }
 

@@ -276,7 +276,7 @@ func (t *Tree) Rekey(baseToMod map[string]string) (kept, invalidated int) {
 	return rekey(t.root, baseToMod)
 }
 
-// Approximate per-node byte costs for Tree.Bytes: the Node struct with its
+// Approximate per-node byte costs for Tree.Usage: the Node struct with its
 // slice headers, one Verdict, one witness-model entry, and one successor
 // pointer. Constraint expressions (ViaCond, Verdict.Cond) are hash-consed
 // and shared across the whole process, so they are accounted by the intern
@@ -288,27 +288,36 @@ const (
 	succPtrBytes    = 8
 )
 
-// Bytes estimates the trie's retained heap footprint. It is an O(n) walk
-// with the same cost as Size, intended to be sampled once per session step;
-// the service store sums it across tenants to enforce a global trie-byte
-// ceiling. An estimate for capacity accounting, not an exact meter.
+// Bytes returns the retained-heap estimate of Usage alone.
 func (t *Tree) Bytes() int64 {
-	return nodeBytes(t.root)
+	_, b := t.Usage()
+	return b
 }
 
-func nodeBytes(n *Node) int64 {
+// Usage returns the trie's node count and an estimate of its retained heap
+// footprint, in one O(n) walk intended to be sampled once per session step;
+// the service store sums the bytes across tenants to enforce a global
+// trie-byte ceiling. The bytes are an estimate for capacity accounting, not
+// an exact meter.
+func (t *Tree) Usage() (nodes int, bytes int64) {
+	return usage(t.root)
+}
+
+func usage(n *Node) (nodes int, bytes int64) {
 	if n == nil {
-		return 0
+		return 0, 0
 	}
-	b := int64(nodeBaseBytes + len(n.Key))
+	nodes, bytes = 1, int64(nodeBaseBytes+len(n.Key))
 	for _, v := range n.Verdicts {
-		b += verdictBytes + int64(len(v.Model))*modelEntryBytes
+		bytes += verdictBytes + int64(len(v.Model))*modelEntryBytes
 	}
-	b += int64(cap(n.Succs)) * succPtrBytes
+	bytes += int64(cap(n.Succs)) * succPtrBytes
 	for _, c := range n.Succs {
-		b += nodeBytes(c)
+		cn, cb := usage(c)
+		nodes += cn
+		bytes += cb
 	}
-	return b
+	return nodes, bytes
 }
 
 // Enforce evicts whole subtrees until the trie fits the node budget,

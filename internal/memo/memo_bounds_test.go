@@ -165,3 +165,24 @@ func TestBytesEstimatorSanity(t *testing.T) {
 		t.Fatalf("Bytes did not shrink after eviction: %d -> %d", grown, after)
 	}
 }
+
+// TestUsageCountsLikeSize pins the node count of the one-walk Usage to
+// Size on an empty, a grown and an evicted trie.
+func TestUsageCountsLikeSize(t *testing.T) {
+	var tr Tree
+	check := func(stage string) {
+		t.Helper()
+		if n, _ := tr.Usage(); n != tr.Size() {
+			t.Fatalf("%s: Usage counts %d nodes, Size %d", stage, n, tr.Size())
+		}
+	}
+	check("empty")
+	cond := sym.Cmp(sym.OpLT, sym.V("x"), sym.Int(1))
+	c := buildChain(tr.Root("begin"), 20, 1, 0, ViaTrue, cond)
+	c.Record(cond, true, map[string]int64{"x": 0, "y": 1})
+	check("grown")
+	tr.SetNodeBudget(5)
+	tr.BeginStep()
+	tr.Enforce()
+	check("evicted")
+}

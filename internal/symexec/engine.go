@@ -862,16 +862,12 @@ func (e *Engine) memoLink(rec *memo.Node, feasible []*State, vias []int8, viaCon
 }
 
 // appendTraceIfStmt records the executed node in the successor's trace when
-// it corresponds to a source statement. The successor shares the parent's
-// trace slice after fork, so the append always copies — sized exactly, with
-// no spare capacity a sibling could race on.
+// it corresponds to a source statement: one new cell in front of the trace
+// the successor shares with its parent and siblings.
 func (s *State) appendTraceIfStmt(n *cfg.Node) {
 	switch n.Kind {
 	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		t := make([]int, len(s.Trace)+1)
-		copy(t, s.Trace)
-		t[len(s.Trace)] = n.ID
-		s.Trace = t
+		s.Trace = s.Trace.Append(n.ID)
 	}
 }
 
@@ -881,18 +877,20 @@ func (e *Engine) Terminal(s *State) bool {
 }
 
 // Collect converts a terminal state into a Path record, materializing the
-// copy-on-write path condition and environment — this is the one place the
-// shared-tail PC list and the layered Env become plain slices and maps.
+// shared-tail path-condition and trace lists — this is the one place they
+// become plain slices. The environment and the witness model are immutable
+// and shared with the state.
 func (e *Engine) Collect(s *State) Path {
 	e.stats.PathsExplored++
 	pc := s.PC.Slice()
 	return Path{
 		PC:       pc,
 		PCString: sym.Conjoin(pc),
-		Env:      s.Env.Map(),
-		Trace:    s.Trace,
+		Env:      s.Env,
+		Trace:    s.Trace.Slice(),
 		Cover:    s.Cover,
 		Err:      s.Err || s.Node.Kind == cfg.KindError,
+		Model:    s.model,
 	}
 }
 

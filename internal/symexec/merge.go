@@ -334,8 +334,8 @@ func (x *Explorer) mergeStates(group []*State) *State {
 	// accounting.
 	cover := map[int]bool{}
 	for _, s := range group {
-		for _, id := range s.Trace {
-			cover[id] = true
+		for t := s.Trace; t != nil; t = t.Prev() {
+			cover[t.Last()] = true
 		}
 		for _, id := range s.Cover {
 			cover[id] = true

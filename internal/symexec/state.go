@@ -14,9 +14,10 @@
 //
 // States are copy-on-write: forking a state at a branch shares the parent's
 // environment, path condition and trace outright — Env layers are immutable
-// sorted slices replaced only on write, the path condition is a shared-tail
-// list extended by one cell per branch and materialized only when a path is
-// emitted — so the engine's inner loop allocates per *change*, not per fork.
+// sorted slices replaced only on write, the path condition and the trace are
+// shared-tail lists extended by one cell per branch or statement and
+// materialized only when a path is emitted — so the engine's inner loop
+// allocates per *change*, not per fork.
 package symexec
 
 import (
@@ -92,16 +93,6 @@ func (e Env) Set(name string, val sym.Expr) Env {
 // Len returns the number of bindings.
 func (e Env) Len() int { return len(e.entries) }
 
-// Map materializes the environment as a map, for path emission and external
-// consumers (Path.Env).
-func (e Env) Map() map[string]sym.Expr {
-	out := make(map[string]sym.Expr, len(e.entries))
-	for _, ent := range e.entries {
-		out[ent.name] = ent.val
-	}
-	return out
-}
-
 // Each calls fn for every binding in name order.
 func (e Env) Each(fn func(name string, val sym.Expr)) {
 	for _, ent := range e.entries {
@@ -173,6 +164,54 @@ func (p *PathCond) Slice() []sym.Expr {
 	return p.AppendTo(make([]sym.Expr, 0, p.n))
 }
 
+// Trace is a persistent statement trace: the IDs of the statement nodes a
+// path executed, as a singly linked list growing at the tail end like
+// PathCond. Forked states share the parent's list and a step appends one
+// cell; nil is the empty trace. Slice recovers execution order when a path
+// is emitted.
+type Trace struct {
+	parent *Trace
+	id     int
+	n      int // node count including id
+}
+
+// Len returns the number of nodes in the trace.
+func (t *Trace) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
+}
+
+// Append returns the trace extended by node id. The receiver is shared, not
+// copied.
+func (t *Trace) Append(id int) *Trace {
+	return &Trace{parent: t, id: id, n: t.Len() + 1}
+}
+
+// Last returns the most recently executed node ID; the trace must be
+// non-empty.
+func (t *Trace) Last() int { return t.id }
+
+// Prev returns the trace without its last node (nil for a one-node trace).
+// Walking Prev from a trace visits its nodes newest first.
+func (t *Trace) Prev() *Trace { return t.parent }
+
+// Slice materializes the trace in execution order (root first) as a fresh
+// slice; nil for the empty trace.
+func (t *Trace) Slice() []int {
+	if t == nil {
+		return nil
+	}
+	out := make([]int, t.n)
+	i := t.n
+	for q := t; q != nil; q = q.parent {
+		i--
+		out[i] = q.id
+	}
+	return out
+}
+
 // State is a symbolic program state: a program location (CFG node), symbolic
 // expressions for the program variables, and a path condition (paper §2.1).
 type State struct {
@@ -188,8 +227,8 @@ type State struct {
 	Depth int
 	// Trace is the sequence of statement-node IDs executed so far. Traces
 	// power the affected-node-sequence analysis and the Table 1 rendering.
-	// Forked states share the parent's slice; appends copy (exact size).
-	Trace []int
+	// Forked states share the parent's list; a step appends one cell.
+	Trace *Trace
 	// Cover is the set of statement-node IDs (sorted, deduplicated) covered
 	// by sibling states this state absorbed through merging (merge.go):
 	// Trace continues the representative sibling's history, Cover keeps the
@@ -222,8 +261,8 @@ func (s *State) MarkMemoPruned() {
 
 // fork returns a successor of s at node. Everything is shared with the
 // parent: Env and PC are copy-on-write (the caller extends them only for
-// writes and branch constraints), Trace is copied at the append site
-// (appendTraceIfStmt), and the witness model is immutable.
+// writes and branch constraints), Trace is extended by one cell at the
+// append site (appendTraceIfStmt), and the witness model is immutable.
 func (s *State) fork(node *cfg.Node) *State {
 	return &State{
 		Node:  node,
@@ -269,8 +308,8 @@ type Path struct {
 	// conditions across techniques and versions).
 	PCString string
 	// Env is the final symbolic environment (the symbolic summary of the
-	// path's effect).
-	Env map[string]sym.Expr
+	// path's effect), shared with the terminal state.
+	Env Env
 	// Trace is the sequence of statement CFG node IDs executed.
 	Trace []int
 	// Cover is the sorted set of statement CFG node IDs covered by sibling
@@ -279,6 +318,10 @@ type Path struct {
 	Cover []int
 	// Err reports that the path ended in an assertion violation.
 	Err bool
+	// Model is the exploration's witness for PC: the satisfying assignment
+	// of the symbolic inputs the terminal state carried (nil when none was
+	// recorded). Test generation renders it instead of re-solving PC.
+	Model map[string]int64
 }
 
 // Summary is the result of a symbolic execution run: the set of path

@@ -83,7 +83,7 @@ func TestPathCondSharedTail(t *testing.T) {
 }
 
 // TestForkSharesUntilWrite pins the copy-on-write fork: successor states
-// share the parent's environment backing and trace slice until a write or a
+// share the parent's environment backing and trace list until a write or a
 // statement append replaces them, and sibling branch states never see each
 // other's extensions.
 func TestForkSharesUntilWrite(t *testing.T) {
@@ -118,5 +118,52 @@ func TestForkSharesUntilWrite(t *testing.T) {
 	}
 	if _, ok := tr.Env.Get("y"); ok {
 		t.Fatalf("write leaked into the parent state's environment")
+	}
+}
+
+// TestTraceSharedTail pins the persistent trace: the two branch arms of a
+// conditional each add one cell in front of the trace they share with their
+// parent, and Slice materializes execution order (root first) — the order
+// Path.Trace has always had.
+func TestTraceSharedTail(t *testing.T) {
+	src := `proc p(int x) {
+		y = 0;
+		if (x > 0) {
+			y = 1;
+		} else {
+			y = 2;
+		}
+	}`
+	e := newEngine(t, src, "p", Config{})
+	s := e.InitialState()
+	write := e.Successors(s)[0]    // begin -> y = 0
+	cond := e.Successors(write)[0] // y = 0 -> cond
+	kids := e.Successors(cond)     // the two branch arms
+	if len(kids) != 2 {
+		t.Fatalf("feasible branches = %d, want 2", len(kids))
+	}
+	if cond.Trace.Len() != 1 || kids[0].Trace.Len() != 2 || kids[1].Trace.Len() != 2 {
+		t.Fatalf("trace lengths = %d/%d/%d, want 1/2/2", cond.Trace.Len(), kids[0].Trace.Len(), kids[1].Trace.Len())
+	}
+	if kids[0].Trace == kids[1].Trace || kids[0].Trace.Prev() != cond.Trace || kids[1].Trace.Prev() != cond.Trace {
+		t.Fatalf("branch arms do not share their parent's trace tail")
+	}
+	if kids[0].Trace.Last() != cond.Node.ID {
+		t.Fatalf("arm trace ends at n%d, want the conditional n%d", kids[0].Trace.Last(), cond.Node.ID)
+	}
+	want := []int{write.Node.ID, cond.Node.ID}
+	if got := kids[0].Trace.Slice(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Slice() = %v, want %v", got, want)
+	}
+	var empty *Trace
+	if empty.Len() != 0 || empty.Slice() != nil {
+		t.Fatalf("empty trace: Len %d, Slice %v", empty.Len(), empty.Slice())
+	}
+
+	summary := e.RunFull()
+	for _, p := range summary.Paths {
+		if len(p.Trace) != 3 || p.Trace[0] != want[0] || p.Trace[1] != want[1] {
+			t.Fatalf("path trace %v, want %v followed by the arm's write", p.Trace, want)
+		}
 	}
 }

@@ -52,7 +52,7 @@ func TestGenerateFromTestX(t *testing.T) {
 	if tests[1].Call != "testX(0)" {
 		t.Errorf("test 1 = %q, want testX(0)", tests[1].Call)
 	}
-	if tests[0].Inputs["x"] != 1 {
+	if tests[0].Inputs[0] != 1 {
 		t.Errorf("inputs = %v, want x=1", tests[0].Inputs)
 	}
 }
@@ -279,5 +279,108 @@ func TestGenerateSkipsUnknown(t *testing.T) {
 	// The hard PC is skipped; the other remains.
 	if len(tests) != 1 {
 		t.Fatalf("tests = %d, want 1 (hard PC skipped)", len(tests))
+	}
+}
+
+// countingCheck wraps g.Check so a test can see which path conditions the
+// generator re-solved.
+func countingCheck(g *Generator) *[]string {
+	var resolved []string
+	check := g.Check
+	g.Check = func(pc []sym.Expr) constraint.Result {
+		resolved = append(resolved, sym.Conjoin(pc))
+		return check(pc)
+	}
+	return &resolved
+}
+
+// TestGenerateRendersWitnesses pins the common case: every explored path
+// carries a witness satisfying its path condition, so Generate renders the
+// witnesses and never calls Check.
+func TestGenerateRendersWitnesses(t *testing.T) {
+	e := engineFor(t, testXSource, "testX")
+	summary := e.RunFull()
+	g := NewGenerator(e)
+	resolved := countingCheck(g)
+	tests := g.Generate(summary)
+	if len(*resolved) != 0 {
+		t.Fatalf("re-solved %v, want no Check call", *resolved)
+	}
+	if got := Calls(tests); !reflect.DeepEqual(got, []string{"testX(0)", "testX(1)"}) {
+		t.Errorf("calls = %v, want testX(0) and testX(1)", got)
+	}
+}
+
+// TestGenerateResolvesWithoutWitness: a path with no witness is re-solved.
+func TestGenerateResolvesWithoutWitness(t *testing.T) {
+	e := engineFor(t, testXSource, "testX")
+	summary := e.RunFull()
+	summary.Paths[0].Model = nil
+	g := NewGenerator(e)
+	resolved := countingCheck(g)
+	tests := g.Generate(summary)
+	if want := []string{summary.Paths[0].PCString}; !reflect.DeepEqual(*resolved, want) {
+		t.Fatalf("re-solved %v, want %v", *resolved, want)
+	}
+	if len(tests) != 2 || tests[0].Call != "testX(1)" {
+		t.Errorf("calls = %v, want testX(1) first", Calls(tests))
+	}
+}
+
+// TestGenerateResolvesViolatedWitness: a witness that does not satisfy its
+// path condition is not rendered; the path is re-solved.
+func TestGenerateResolvesViolatedWitness(t *testing.T) {
+	e := engineFor(t, testXSource, "testX")
+	summary := e.RunFull()
+	// Path 0 is X > 0; X = 0 violates it.
+	summary.Paths[0].Model = map[string]int64{"X": 0, "Y": 0}
+	g := NewGenerator(e)
+	resolved := countingCheck(g)
+	tests := g.Generate(summary)
+	if want := []string{summary.Paths[0].PCString}; !reflect.DeepEqual(*resolved, want) {
+		t.Fatalf("re-solved %v, want %v", *resolved, want)
+	}
+	if len(tests) != 2 || tests[0].Call != "testX(1)" {
+		t.Errorf("calls = %v, want testX(1) first", Calls(tests))
+	}
+}
+
+// TestGenerateSkipsUnknownResolve: when a path needs the re-solve and it
+// returns Unknown, the path is skipped; paths with valid witnesses still
+// produce their tests.
+func TestGenerateSkipsUnknownResolve(t *testing.T) {
+	e := engineFor(t, testXSource, "testX")
+	summary := e.RunFull()
+	summary.Paths[0].Model = nil
+	g := NewGenerator(e)
+	calls := 0
+	g.Check = func(pc []sym.Expr) constraint.Result {
+		calls++
+		return constraint.Result{Unknown: true}
+	}
+	tests := g.Generate(summary)
+	if calls != 1 {
+		t.Fatalf("Check calls = %d, want 1", calls)
+	}
+	if len(tests) != 1 || tests[0].Call != "testX(0)" {
+		t.Errorf("calls = %v, want only testX(0)", Calls(tests))
+	}
+}
+
+// TestRenderAllocations holds render to two allocations per test case: the
+// call string and the Inputs slice.
+func TestRenderAllocations(t *testing.T) {
+	e := engineFor(t, fig2Mod, "update")
+	g := NewGenerator(e)
+	model := map[string]int64{"PedalPos": 3, "BSwitch": 1, "PedalCmd": 12, "AltPress": 0, "Meter": 2}
+	var tc TestCase
+	allocs := testing.AllocsPerRun(100, func() {
+		tc = g.render(model, "PedalPos > 1")
+	})
+	if tc.Call != "update(3, 1, 12)" || !reflect.DeepEqual(tc.Inputs, []int64{3, 1, 12}) {
+		t.Fatalf("render = %+v", tc)
+	}
+	if allocs > 2 {
+		t.Errorf("render allocates %.1f times per call, want at most 2", allocs)
 	}
 }
