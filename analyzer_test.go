@@ -73,6 +73,17 @@ func TestAnalyzerErrorKinds(t *testing.T) {
 		}
 	}
 
+	// Two symbolic inputs aliasing one symbol (x and X are both symbol X)
+	// are a type error: exploring them as one input would report one path
+	// where x=1, X=0 takes the other branch.
+	aliased := `proc p(int x, int X) {
+	if (x > X) { y = 1; } else { y = 2; }
+}`
+	if _, err := a.Analyze(ctx, Request{BaseSrc: aliased, ModSrc: aliased, Proc: "p"}); !errors.Is(err, ErrType) ||
+		!strings.Contains(err.Error(), `"x" and "X"`) {
+		t.Errorf("aliased symbolic inputs: got %v, want a type error naming x and X", err)
+	}
+
 	// Execute classifies too.
 	if _, err := a.Execute(ctx, baseUpdate, "ghost"); !errors.Is(err, &Error{Kind: UnknownProc}) {
 		t.Errorf("Execute unknown proc: %v", err)

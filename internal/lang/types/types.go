@@ -9,7 +9,9 @@
 //     locals without declarations keep the language compact),
 //   - expressions are well-typed (no int/bool mixing),
 //   - conditions of if/while/assert are boolean,
-//   - no variable is used with two different types.
+//   - no variable is used with two different types,
+//   - no two symbolic inputs of a procedure (its parameters and the globals)
+//     share a symbol name (SymbolName).
 package types
 
 import (
@@ -40,6 +42,8 @@ type checker struct {
 	errs []error
 	// procs indexes procedures by name for call checking.
 	procs map[string]*ast.Procedure
+	// globalSyms maps each global's symbol name to the global.
+	globalSyms map[string]string
 }
 
 // Check validates the program and returns typing information.
@@ -50,7 +54,8 @@ func Check(prog *ast.Program) (*Info, error) {
 			Globals:  map[string]ast.Type{},
 			ProcVars: map[string]map[string]ast.Type{},
 		},
-		procs: map[string]*ast.Procedure{},
+		procs:      map[string]*ast.Procedure{},
+		globalSyms: map[string]string{},
 	}
 	c.checkGlobals()
 	seen := map[string]bool{}
@@ -76,6 +81,22 @@ func Check(prog *ast.Program) (*Info, error) {
 	return c.info, nil
 }
 
+// SymbolName maps a program variable to its symbolic input name, following
+// the paper's convention (§2.1): variable x gets symbol X, PedalPos stays
+// PedalPos. Symbolic execution names a procedure's inputs this way, so two
+// inputs whose names differ only in the case of the first letter would
+// alias one symbol; Check rejects them.
+func SymbolName(varName string) string {
+	if varName == "" {
+		return varName
+	}
+	c := varName[0]
+	if c >= 'a' && c <= 'z' {
+		return string(c-'a'+'A') + varName[1:]
+	}
+	return varName
+}
+
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 	c.errs = append(c.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }
@@ -99,6 +120,12 @@ func (c *checker) checkGlobals() {
 			c.errorf(g.Pos(), "global %q initializer must be a literal, found %s", g.Name, init)
 		}
 		c.info.Globals[g.Name] = g.Type
+		sn := SymbolName(g.Name)
+		if other, clash := c.globalSyms[sn]; clash {
+			c.errorf(g.Pos(), "globals %q and %q are both symbolic input %q", other, g.Name, sn)
+			continue
+		}
+		c.globalSyms[sn] = g.Name
 	}
 }
 
@@ -113,12 +140,19 @@ func (c *checker) checkProc(pr *ast.Procedure) {
 	for name, t := range c.info.Globals {
 		pc.vars[name] = t
 	}
+	paramSyms := map[string]string{}
 	for _, p := range pr.Params {
+		sn := SymbolName(p.Name)
 		if _, dup := pc.vars[p.Name]; dup {
 			// Parameter shadowing a global (or duplicate parameter) would make
 			// the Def/Use analysis ambiguous; reject it.
 			c.errorf(p.TokPos, "parameter %q shadows an existing variable", p.Name)
+		} else if g, clash := c.globalSyms[sn]; clash {
+			c.errorf(p.TokPos, "parameter %q and global %q are both symbolic input %q", p.Name, g, sn)
+		} else if q, clash := paramSyms[sn]; clash {
+			c.errorf(p.TokPos, "parameters %q and %q are both symbolic input %q", q, p.Name, sn)
 		}
+		paramSyms[sn] = p.Name
 		pc.vars[p.Name] = p.Type
 	}
 	// First pass: infer local variable types from assignments so that uses

@@ -128,3 +128,43 @@ proc b(bool f) { if (f) { G = 1; } }
 		t.Error("proc b param f should be bool")
 	}
 }
+
+// TestCheckRejectsAliasedSymbolicInputs pins that two symbolic inputs of a
+// procedure (parameters and globals) may not share a symbol name: x and X
+// both become symbol X, so symbolic execution would treat them as one input
+// and report a single path where two exist.
+func TestCheckRejectsAliasedSymbolicInputs(t *testing.T) {
+	cases := []struct {
+		name, src string
+		want      []string
+	}{
+		{"two parameters", `proc p(int x, int X) {
+			if (x > X) { y = 1; } else { y = 2; }
+		}`, []string{`"x"`, `"X"`}},
+		{"bool parameter and int global", `int X = 0;
+		proc p(bool x) { if (x) { X = 1; } }`, []string{`"x"`, `"X"`}},
+		{"global and parameter", `int mode = 0;
+		proc p(int Mode) { mode = Mode; }`, []string{`"mode"`, `"Mode"`}},
+		{"two globals", `int mode = 0;
+		int Mode = 1;
+		proc p() { mode = Mode; }`, []string{`"mode"`, `"Mode"`}},
+	}
+	for _, tc := range cases {
+		_, err := Check(mustParse(t, tc.src))
+		if err == nil {
+			t.Errorf("%s: Check accepted aliased symbolic inputs", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, w)
+			}
+		}
+	}
+	// Distinct symbols stay legal, including a parameter already upper-case
+	// beside an unrelated lower-case one.
+	if _, err := Check(mustParse(t, `int G = 0;
+	proc p(int x, int Y) { G = x + Y; }`)); err != nil {
+		t.Errorf("Check rejected distinct symbolic inputs: %v", err)
+	}
+}

@@ -275,6 +275,10 @@ type Engine struct {
 	// path-condition list into; it keeps stack syncing allocation-free in
 	// steady state.
 	pcScratch []sym.Expr
+	// envLayout is the slot layout of every environment this engine builds:
+	// parameters, globals and every assigned local (read-only; forks share
+	// it).
+	envLayout *envLayout
 }
 
 // New type-checks the program, builds the CFG of procedure procName, and
@@ -355,6 +359,7 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 	if e.depthBound == 0 {
 		e.depthBound = 1000
 	}
+	e.envLayout = procEnvLayout(prog, proc, g)
 	if config.Memo != nil {
 		// Resolve the stable keys here, on the construction goroutine, so
 		// forks (and the graph cache) only ever read them.
@@ -367,17 +372,17 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 	// Symbolic inputs: parameters always; globals unless ConcreteGlobals.
 	for _, p := range proc.Params {
 		if p.Type == ast.TypeBool {
-			e.domains[symbolName(p.Name)] = solver.BoolDomain
+			e.domains[types.SymbolName(p.Name)] = solver.BoolDomain
 		} else {
-			e.domains[symbolName(p.Name)] = intDomain
+			e.domains[types.SymbolName(p.Name)] = intDomain
 		}
 	}
 	if !config.ConcreteGlobals {
 		for _, gl := range prog.Globals {
 			if gl.Type == ast.TypeBool {
-				e.domains[symbolName(gl.Name)] = solver.BoolDomain
+				e.domains[types.SymbolName(gl.Name)] = solver.BoolDomain
 			} else {
-				e.domains[symbolName(gl.Name)] = intDomain
+				e.domains[types.SymbolName(gl.Name)] = intDomain
 			}
 		}
 	}
@@ -411,6 +416,7 @@ func (e *Engine) Fork() (*Engine, error) {
 		domains:    e.domains,
 		depthBound: e.depthBound,
 		memoKeys:   e.memoKeys,
+		envLayout:  e.envLayout,
 	}
 	backend, err := constraint.New(e.config.SolverBackend, constraint.Options{
 		Domains:    e.domains,
@@ -425,6 +431,24 @@ func (e *Engine) Fork() (*Engine, error) {
 	}
 	ne.Backend = backend
 	return ne, nil
+}
+
+// procEnvLayout returns the environment layout of proc: its parameters, the
+// program's globals and every variable a write node of g assigns.
+func procEnvLayout(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph) *envLayout {
+	names := make([]string, 0, len(proc.Params)+len(prog.Globals)+len(g.Nodes))
+	for _, p := range proc.Params {
+		names = append(names, p.Name)
+	}
+	for _, gl := range prog.Globals {
+		names = append(names, gl.Name)
+	}
+	for _, n := range g.Nodes {
+		if n.Kind == cfg.KindWrite {
+			names = append(names, n.Stmt.(*ast.Assign).Name)
+		}
+	}
+	return newEnvLayout(names)
 }
 
 // MemoSignature digests everything a recorded solver verdict's validity
@@ -448,35 +472,22 @@ func (e *Engine) MemoSignature() string {
 	}
 	b.WriteString("|env:")
 	for _, p := range e.Proc.Params {
-		fmt.Fprintf(&b, "%s=%s;", p.Name, symbolName(p.Name))
+		fmt.Fprintf(&b, "%s=%s;", p.Name, types.SymbolName(p.Name))
 	}
 	for _, gl := range e.Prog.Globals {
 		if e.config.ConcreteGlobals {
 			fmt.Fprintf(&b, "%s:=%s;", gl.Name, gl.Init.String())
 		} else {
-			fmt.Fprintf(&b, "%s=%s;", gl.Name, symbolName(gl.Name))
+			fmt.Fprintf(&b, "%s=%s;", gl.Name, types.SymbolName(gl.Name))
 		}
 	}
 	fmt.Fprintf(&b, "|backend=%s budget=%d", e.config.SolverBackend, e.config.SolverOptions.NodeBudget)
 	return b.String()
 }
 
-// symbolName maps a program variable to its symbolic input name, following
-// the paper's convention (§2.1): variable x gets symbol X, PedalPos stays
-// PedalPos.
-func symbolName(varName string) string {
-	if varName == "" {
-		return varName
-	}
-	c := varName[0]
-	if c >= 'a' && c <= 'z' {
-		return string(c-'a'+'A') + varName[1:]
-	}
-	return varName
-}
-
-// SymbolName exposes the symbol naming convention to other packages.
-func SymbolName(varName string) string { return symbolName(varName) }
+// SymbolName maps a program variable to its symbolic input name
+// (types.SymbolName).
+func SymbolName(varName string) string { return types.SymbolName(varName) }
 
 // Domains returns the solver domains of the symbolic inputs.
 func (e *Engine) Domains() map[string]solver.Interval {
@@ -603,7 +614,7 @@ func (e *Engine) CheckPC(pc []sym.Expr) constraint.Result {
 func (e *Engine) InitialState() *State {
 	m := map[string]sym.Expr{}
 	for _, p := range e.Proc.Params {
-		m[p.Name] = sym.V(symbolName(p.Name))
+		m[p.Name] = sym.V(types.SymbolName(p.Name))
 	}
 	for _, gl := range e.Prog.Globals {
 		if e.config.ConcreteGlobals {
@@ -614,12 +625,12 @@ func (e *Engine) InitialState() *State {
 				m[gl.Name] = sym.Bool(init.Value)
 			}
 		} else {
-			m[gl.Name] = sym.V(symbolName(gl.Name))
+			m[gl.Name] = sym.V(types.SymbolName(gl.Name))
 		}
 	}
-	env := NewEnv(m)
-	// Locals start undefined; the type checker guarantees they are assigned
+	// Locals start unbound; the type checker guarantees they are assigned
 	// before use on every executable path of well-formed artifacts.
+	env := e.envLayout.bind(m)
 	e.stats.StatesExplored++
 	// The empty path condition is satisfied by the least element of every
 	// input domain; seed the model cache with it.
@@ -923,7 +934,7 @@ func (e *Engine) evalExpr(x ast.Expr, env Env) sym.Expr {
 		}
 		// Reading an unassigned local: treat as a fresh symbol so execution
 		// can proceed; the type checker flags genuinely undefined names.
-		return sym.V(symbolName(x.Name))
+		return sym.V(types.SymbolName(x.Name))
 	case *ast.Unary:
 		inner := e.evalExpr(x.X, env)
 		switch x.Op {

@@ -233,16 +233,16 @@ func (x *Explorer) pushMerge(q *mergeQueue, rpo []int, s *State) {
 // chunk of two or more into a single state. Singletons (and everything once
 // the merge budget is spent) pass through unchanged.
 func (x *Explorer) mergeBatch(batch []*State, bound, budget int) []*State {
-	// Group by mergeability: identical environment name-sets (value bindings
-	// may differ — that is what the ite fuses) and identical error flags.
+	// Group by mergeability: identical environment shapes (envShape; value
+	// bindings may differ — that is what the ite fuses).
 	// Batch order — (rpo, seq) pop order — is preserved within groups, so
 	// the output is deterministic.
 	type group struct {
-		key    string
+		key    envShape
 		states []*State
 	}
 	var groups []*group
-	byKey := map[string]*group{}
+	byKey := map[envShape]*group{}
 	for _, s := range batch {
 		key := envShapeKey(s)
 		g := byKey[key]
@@ -277,20 +277,25 @@ func (x *Explorer) mergeBatch(batch []*State, bound, budget int) []*State {
 	return out
 }
 
-// envShapeKey digests the parts of a state that must agree for merging: the
-// environment's name-set and the error flag.
-func envShapeKey(s *State) string {
-	n := 0
-	s.Env.Each(func(name string, _ sym.Expr) { n += len(name) + 1 })
-	b := make([]byte, 0, n+1)
-	if s.Err {
-		b = append(b, '!')
+// envShape is what must agree for states to merge: the environment's layout
+// and bound slots, and the error flag.
+type envShape struct {
+	layout *envLayout
+	bound  string // one byte per layout slot: 1 bound, 0 unbound
+	err    bool
+}
+
+func envShapeKey(s *State) envShape {
+	var bound []byte
+	if l := s.Env.layout; l != nil {
+		bound = make([]byte, len(l.names))
+		for i := range bound {
+			if s.Env.at(i) != nil {
+				bound[i] = 1
+			}
+		}
 	}
-	s.Env.Each(func(name string, _ sym.Expr) {
-		b = append(b, name...)
-		b = append(b, 0)
-	})
-	return string(b)
+	return envShape{layout: s.Env.layout, bound: string(bound), err: s.Err}
 }
 
 // mergeStates fuses a group of two or more sibling states at one node into
@@ -316,18 +321,31 @@ func (x *Explorer) mergeStates(group []*State) *State {
 	}
 
 	// Merged environment: ite-fuse differing bindings, guarded by the path
-	// suffixes. The groups share one name-set (envShapeKey), so the sorted
-	// entry slices align index by index.
+	// suffixes. The group shares one layout and bound-slot set
+	// (envShapeKey), so the slots align index by index; a chunk every
+	// constituent shares is shared by the merged state too (the ite of equal
+	// arms is that arm).
 	rep := group[0]
-	entries := make([]envEntry, rep.Env.Len())
-	for i := range rep.Env.entries {
-		acc := group[len(group)-1].Env.entries[i].val
-		for j := len(group) - 2; j >= 0; j-- {
-			acc = sym.ITE(deltas[j], group[j].Env.entries[i].val, acc)
+	spine := make([]*envChunk, len(rep.Env.spine))
+	for ci, chunk := range rep.Env.spine {
+		if sharedChunk(group, ci) {
+			spine[ci] = chunk
+			continue
 		}
-		entries[i] = envEntry{name: rep.Env.entries[i].name, val: acc}
+		fused := new(envChunk)
+		for k := range fused {
+			acc := group[len(group)-1].Env.spine[ci][k]
+			if acc == nil {
+				continue // unbound in every constituent
+			}
+			for j := len(group) - 2; j >= 0; j-- {
+				acc = sym.ITE(deltas[j], group[j].Env.spine[ci][k], acc)
+			}
+			fused[k] = acc
+		}
+		spine[ci] = fused
 	}
-	env := Env{entries: entries}
+	env := Env{layout: rep.Env.layout, spine: spine}
 
 	// Coverage: the merged state's Trace continues the representative's
 	// history; Cover retains every constituent's footprint for affected-node
@@ -369,6 +387,17 @@ func (x *Explorer) mergeStates(group []*State) *State {
 		Err:   rep.Err,
 		model: rep.model, // satisfies prefix ∧ d_1, hence the disjunction
 	}
+}
+
+// sharedChunk reports whether every state of the group holds the same chunk
+// ci.
+func sharedChunk(group []*State, ci int) bool {
+	for _, s := range group[1:] {
+		if s.Env.spine[ci] != group[0].Env.spine[ci] {
+			return false
+		}
+	}
+	return true
 }
 
 // commonPC returns the longest shared tail of the group's path conditions —

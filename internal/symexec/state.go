@@ -13,15 +13,18 @@
 // same scheduler as a Pruner (see internal/dise).
 //
 // States are copy-on-write: forking a state at a branch shares the parent's
-// environment, path condition and trace outright — Env layers are immutable
-// sorted slices replaced only on write, the path condition and the trace are
-// shared-tail lists extended by one cell per branch or statement and
-// materialized only when a path is emitted — so the engine's inner loop
-// allocates per *change*, not per fork.
+// environment, path condition and trace outright — an Env is a chunked
+// vector of value slots over the engine's fixed variable layout, and a write
+// replaces one chunk and the spine pointing to the chunks; the path
+// condition and the trace are shared-tail lists extended by one cell per
+// branch or statement and materialized only when a path is emitted — so the
+// engine's inner loop allocates per *change*, not per fork, and a change
+// costs the same however many variables are in scope.
 package symexec
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -30,85 +33,161 @@ import (
 	"dise/internal/sym"
 )
 
-// Env is a persistent symbolic environment: an immutable, name-sorted slice
-// of variable bindings. The zero value is the empty environment. Set returns
-// a new environment sharing nothing mutable with the receiver, so forked
-// states share one Env value (a slice header copy) and pay for a write
-// exactly when they write — one exact-size slice allocation — instead of
-// deep-copying a map on every fork.
-type Env struct {
-	entries []envEntry // sorted by name; immutable once published
+// envChunkSize is the number of value slots in one Env chunk.
+const envChunkSize = 8
+
+// envChunk is a fixed-size run of an environment's value slots; a nil slot
+// is an unbound variable. Chunks are immutable once published.
+type envChunk [envChunkSize]sym.Expr
+
+// envLayout is the slot order shared by every environment of one engine:
+// distinct variable names, sorted, so slot order is name order. Read-only
+// once built.
+type envLayout struct {
+	names []string
 }
 
-type envEntry struct {
-	name string
-	val  sym.Expr
+// newEnvLayout builds the layout of names (sorted and deduplicated in
+// place).
+func newEnvLayout(names []string) *envLayout {
+	slices.Sort(names)
+	return &envLayout{names: slices.Compact(names)}
 }
 
-// search returns the index of name, or the insertion point with found=false.
-func (e Env) search(name string) (int, bool) {
-	lo, hi := 0, len(e.entries)
-	//diselint:ignore interruptloop bounded: binary search halves the window each iteration
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.entries[mid].name < name {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// slot returns the slot index of name; nil-safe (the zero Env has no
+// layout).
+func (l *envLayout) slot(name string) (int, bool) {
+	if l == nil {
+		return 0, false
 	}
-	return lo, lo < len(e.entries) && e.entries[lo].name == name
+	return slices.BinarySearch(l.names, name)
 }
+
+// bind returns the environment over l with the names of m bound to their
+// values; every name of m must be in l, every other slot is unbound.
+func (l *envLayout) bind(m map[string]sym.Expr) Env {
+	n := (len(l.names) + envChunkSize - 1) / envChunkSize
+	chunks := make([]envChunk, n)
+	spine := make([]*envChunk, n)
+	for i := range spine {
+		spine[i] = &chunks[i]
+	}
+	for i, name := range l.names {
+		chunks[i/envChunkSize][i%envChunkSize] = m[name]
+	}
+	return Env{layout: l, spine: spine}
+}
+
+// Env is a persistent symbolic environment: a vector of value slots over a
+// fixed, name-sorted layout, cut into chunks of envChunkSize slots that a
+// spine points to. The zero value is the empty environment. Set copies the
+// one chunk it writes and the spine, sharing every other chunk with the
+// receiver, so forked states share one Env value (a slice header copy) and
+// a write costs one chunk regardless of how many variables are in scope.
+// Names are stored once, in the layout, not per state.
+//
+// An engine fixes one layout holding every variable its procedure can bind
+// (parameters, globals and assigned locals); a local not yet assigned is an
+// unbound slot, which Get reports absent. Setting a name outside the layout
+// (environments built by NewEnv, say) re-lays the environment out once.
+type Env struct {
+	layout *envLayout
+	spine  []*envChunk // len = ceil(len(layout.names) / envChunkSize)
+}
+
+// at returns the value in slot i (nil when unbound).
+func (e Env) at(i int) sym.Expr { return e.spine[i/envChunkSize][i%envChunkSize] }
 
 // Get returns the symbolic expression bound to name.
 func (e Env) Get(name string) (sym.Expr, bool) {
-	i, ok := e.search(name)
+	i, ok := e.layout.slot(name)
 	if !ok {
 		return nil, false
 	}
-	return e.entries[i].val, true
+	v := e.at(i)
+	return v, v != nil
 }
 
 // Set returns a new environment with name bound to val. The receiver is
-// unchanged; unrelated bindings are shared by value (the entries hold
+// unchanged; every chunk but the written one is shared (the slots hold
 // interned, immutable expressions).
 func (e Env) Set(name string, val sym.Expr) Env {
-	i, ok := e.search(name)
-	if ok {
-		if e.entries[i].val == val {
-			return e // no-op write: share the whole environment
-		}
-		entries := make([]envEntry, len(e.entries))
-		copy(entries, e.entries)
-		entries[i].val = val
-		return Env{entries: entries}
+	i, ok := e.layout.slot(name)
+	if !ok {
+		return e.relayout(name).Set(name, val)
 	}
-	entries := make([]envEntry, len(e.entries)+1)
-	copy(entries, e.entries[:i])
-	entries[i] = envEntry{name: name, val: val}
-	copy(entries[i+1:], e.entries[i:])
-	return Env{entries: entries}
+	ci, off := i/envChunkSize, i%envChunkSize
+	old := e.spine[ci]
+	if old[off] == val {
+		return e // no-op write: share the whole environment
+	}
+	chunk, spine := newEnvBlock(len(e.spine))
+	*chunk = *old
+	chunk[off] = val
+	copy(spine, e.spine)
+	spine[ci] = chunk
+	return Env{layout: e.layout, spine: spine}
+}
+
+// newEnvBlock allocates a chunk and a spine of n entries. For layouts of up
+// to 16 chunks (128 slots) both live in one allocation of 160 or 256 bytes,
+// so a write is one allocation; wider layouts take two. A spine that shares
+// a chunk keeps the chunk's whole block reachable, stale spine included, so
+// a path's environment retains at most one block per write along the path:
+// like its trace list, a footprint proportional to depth.
+func newEnvBlock(n int) (*envChunk, []*envChunk) {
+	switch {
+	case n <= 4:
+		b := new(struct {
+			chunk envChunk
+			spine [4]*envChunk
+		})
+		return &b.chunk, b.spine[:n]
+	case n <= 16:
+		b := new(struct {
+			chunk envChunk
+			spine [16]*envChunk
+		})
+		return &b.chunk, b.spine[:n]
+	}
+	return new(envChunk), make([]*envChunk, n)
+}
+
+// relayout returns the environment's bindings over a layout extended by
+// name (unbound). It is the rare path for names the layout lacks.
+func (e Env) relayout(name string) Env {
+	m := make(map[string]sym.Expr, e.Len())
+	e.Each(func(n string, v sym.Expr) { m[n] = v })
+	var names []string
+	if e.layout != nil {
+		names = append(names, e.layout.names...)
+	}
+	return newEnvLayout(append(names, name)).bind(m)
 }
 
 // Len returns the number of bindings.
-func (e Env) Len() int { return len(e.entries) }
+func (e Env) Len() int {
+	n := 0
+	e.Each(func(string, sym.Expr) { n++ })
+	return n
+}
 
 // Each calls fn for every binding in name order.
 func (e Env) Each(fn func(name string, val sym.Expr)) {
-	for _, ent := range e.entries {
-		fn(ent.name, ent.val)
+	if e.layout == nil {
+		return
+	}
+	for i, name := range e.layout.names {
+		if v := e.at(i); v != nil {
+			fn(name, v)
+		}
 	}
 }
 
-// NewEnv builds an environment from a map (order-independent; entries are
-// sorted).
+// NewEnv builds an environment from a map (order-independent; its layout
+// holds exactly the map's names).
 func NewEnv(m map[string]sym.Expr) Env {
-	entries := make([]envEntry, 0, len(m))
-	for name, val := range m {
-		entries = append(entries, envEntry{name: name, val: val})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	return Env{entries: entries}
+	return newEnvLayout(slices.Collect(maps.Keys(m))).bind(m)
 }
 
 // PathCond is a persistent path condition: a singly linked list growing at

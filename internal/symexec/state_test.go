@@ -1,7 +1,11 @@
 package symexec
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"dise/internal/sym"
 )
@@ -36,11 +40,136 @@ func TestEnvCopyOnWrite(t *testing.T) {
 	}
 	// No-op write: binding the same canonical node shares the whole Env.
 	same := mod.Set("a", sym.Add(sym.V("A"), sym.One))
-	if len(same.entries) != len(mod.entries) || &same.entries[0] != &mod.entries[0] {
+	if len(same.spine) != len(mod.spine) || &same.spine[0] != &mod.spine[0] {
 		t.Fatalf("no-op write did not share the environment")
 	}
 	if _, ok := base.Get("missing"); ok {
 		t.Fatalf("Get of absent name reported present")
+	}
+}
+
+// TestEnvOracle drives random Set/Get/Each/Len sequences against a plain map
+// oracle, over a layout with bound and unbound slots plus names outside it
+// (the re-layout path), and checks every earlier version is left intact.
+func TestEnvOracle(t *testing.T) {
+	vals := []sym.Expr{sym.Zero, sym.One, sym.V("A"), sym.V("B"), sym.Add(sym.V("A"), sym.One)}
+	var inLayout, outside []string
+	for i := 0; i < 20; i++ {
+		inLayout = append(inLayout, fmt.Sprintf("v%02d", i))
+	}
+	for i := 0; i < 5; i++ {
+		outside = append(outside, fmt.Sprintf("w%d", i))
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Half the layout starts bound (parameters), the rest unbound
+		// (locals not yet assigned).
+		oracle := map[string]sym.Expr{}
+		for _, name := range inLayout[:10] {
+			oracle[name] = vals[rng.Intn(len(vals))]
+		}
+		env := newEnvLayout(append([]string(nil), inLayout...)).bind(oracle)
+		if seed%5 == 0 {
+			env, oracle = Env{}, map[string]sym.Expr{} // the zero Env
+		}
+		type version struct {
+			env  Env
+			want map[string]sym.Expr
+		}
+		var history []version
+		for step := 0; step < 200; step++ {
+			pool := inLayout
+			if rng.Intn(8) == 0 {
+				pool = outside
+			}
+			name := pool[rng.Intn(len(pool))]
+			switch rng.Intn(3) {
+			case 0:
+				got, ok := env.Get(name)
+				want, wantOK := oracle[name]
+				if ok != wantOK || got != want {
+					t.Fatalf("seed %d step %d: Get(%s) = %v, %v; want %v, %v", seed, step, name, got, ok, want, wantOK)
+				}
+			default:
+				val := vals[rng.Intn(len(vals))]
+				next := env.Set(name, val)
+				if old, ok := oracle[name]; ok && old == val {
+					if next.layout != env.layout || len(next.spine) != len(env.spine) ||
+						(len(env.spine) > 0 && &next.spine[0] != &env.spine[0]) {
+						t.Fatalf("seed %d step %d: no-op Set(%s) did not share the environment", seed, step, name)
+					}
+				}
+				history = append(history, version{env, oracle})
+				oracle = copyExprMap(oracle)
+				oracle[name] = val
+				env = next
+			}
+			checkEnvAgainst(t, env, oracle)
+		}
+		for _, v := range history {
+			checkEnvAgainst(t, v.env, v.want)
+		}
+	}
+}
+
+func copyExprMap(m map[string]sym.Expr) map[string]sym.Expr {
+	out := make(map[string]sym.Expr, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+// checkEnvAgainst asserts env binds exactly want, with Each in name order.
+func checkEnvAgainst(t *testing.T, env Env, want map[string]sym.Expr) {
+	t.Helper()
+	if env.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", env.Len(), len(want))
+	}
+	var names []string
+	env.Each(func(name string, val sym.Expr) {
+		if want[name] != val {
+			t.Fatalf("Each: %s = %v, want %v", name, val, want[name])
+		}
+		names = append(names, name)
+	})
+	if len(names) != len(want) || !sort.StringsAreSorted(names) {
+		t.Fatalf("Each visited %v, want the %d bound names in order", names, len(want))
+	}
+}
+
+var envSink Env
+
+// TestEnvSetCostIsOneChunk is the allocation gate of the chunked Env: a
+// write copies one chunk and the spine, so a Set on 512 bindings allocates
+// no more than one on 8 bindings plus the spine's extra pointers.
+func TestEnvSetCostIsOneChunk(t *testing.T) {
+	setBytes := func(n int) int64 {
+		m := map[string]sym.Expr{}
+		for i := 0; i < n; i++ {
+			m[fmt.Sprintf("v%03d", i)] = sym.V(fmt.Sprintf("V%03d", i))
+		}
+		env, name := NewEnv(m), fmt.Sprintf("v%03d", n/2)
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				envSink = env.Set(name, sym.Int(int64(i&1)))
+			}
+		})
+		return r.AllocedBytesPerOp()
+	}
+	small, large := setBytes(8), setBytes(512)
+	spine := int64(512/envChunkSize) * int64(unsafe.Sizeof((*envChunk)(nil)))
+	if large > small+spine {
+		t.Fatalf("Set allocates %d B on 512 bindings, %d B on 8: more than one chunk plus a %d B spine", large, small, spine)
+	}
+}
+
+// TestStateSizeClass pins State to the 112-byte allocation size class: every
+// fork allocates one.
+func TestStateSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(State{}); size > 112 {
+		t.Fatalf("State is %d bytes, want at most 112", size)
 	}
 }
 
