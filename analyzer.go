@@ -483,11 +483,12 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, yield func(PathInfo
 		resultCfg.MergeBound = req.MergeBound
 	}
 	// CheckNoCalls already validated the procedure, so a construction
-	// failure here means the engine configuration itself is unusable
-	// (e.g. an unknown solver backend name or a bad merge bound).
+	// failure here means aliased symbolic inputs (a type error) or an
+	// unusable engine configuration (e.g. an unknown solver backend name
+	// or a bad merge bound).
 	engine, err := symexec.NewPrepared(mod.prog, mod.proc, mod.graph, cfgc)
 	if err != nil {
-		return nil, errKind(InvalidConfig, "", err)
+		return nil, engineErr(err)
 	}
 	var onPath func(symexec.Path) bool
 	if yield != nil {
@@ -612,7 +613,7 @@ func (a *Analyzer) prepareEngine(ctx context.Context, src, procName string) (*sy
 	}
 	engine, err := symexec.NewPrepared(entry.prog, proc, entry.graph(proc), a.engineConfig(ctx))
 	if err != nil {
-		return nil, errKind(InvalidConfig, "", err)
+		return nil, engineErr(err)
 	}
 	return engine, nil
 }

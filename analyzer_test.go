@@ -90,6 +90,49 @@ func TestAnalyzerErrorKinds(t *testing.T) {
 	}
 }
 
+// TestAnalyzerAliasedInputsOnlyWhereExplored pins that the aliased-input
+// rejection covers only variables that really become symbolic inputs: the
+// explored procedure's parameters, and the globals unless they are
+// concrete. A callee's parameters are renamed apart by inlining.
+func TestAnalyzerAliasedInputsOnlyWhereExplored(t *testing.T) {
+	ctx := context.Background()
+	globalParam := `int mode = 0;
+proc p(int Mode) {
+	if (Mode > mode) { y = 1; } else { y = 2; }
+}`
+	if _, err := NewAnalyzer().Execute(ctx, globalParam, "p"); !errors.Is(err, ErrType) ||
+		!strings.Contains(err.Error(), `"mode" and "Mode"`) {
+		t.Errorf("symbolic global beside parameter: got %v, want a type error naming mode and Mode", err)
+	}
+	sum, err := NewAnalyzer(WithConcreteGlobals(true)).Execute(ctx, globalParam, "p")
+	if err != nil {
+		t.Fatalf("concrete global beside parameter: %v", err)
+	}
+	if got, want := strings.Join(sum.PathConditions(), " | "), "Mode > 0 | Mode <= 0"; got != want {
+		t.Errorf("concrete global beside parameter: paths %q, want %q", got, want)
+	}
+
+	callee := `proc f(int x, int X) {
+	if (x > X) { r = 1; } else { r = 2; }
+}
+proc main(int a) {
+	f(a, 0);
+}`
+	analyze := func(base string) string {
+		t.Helper()
+		mod := strings.Replace(base, "x > ", "x >= ", 1)
+		res, err := NewAnalyzer().Analyze(ctx, Request{BaseSrc: base, ModSrc: mod, Proc: "main", Interprocedural: true})
+		if err != nil {
+			t.Fatalf("inlined callee: %v", err)
+		}
+		return strings.Join(res.PathConditions(), " | ")
+	}
+	// Renaming the callee's parameters apart must not change the result.
+	if got, want := analyze(callee), analyze(strings.ReplaceAll(callee, "X", "z")); got != want {
+		t.Errorf("inlined callee with x and X parameters: paths %q, want %q as with x and z", got, want)
+	}
+}
+
 func TestAnalyzerBudgetExhausted(t *testing.T) {
 	base, mod, proc := wideArtifact(t)
 	a := NewAnalyzer(WithMaxStates(50))

@@ -3,6 +3,8 @@ package dise
 import (
 	"errors"
 	"fmt"
+
+	"dise/internal/lang/types"
 )
 
 // ErrorKind classifies Analyzer failures so that service callers can route
@@ -133,6 +135,16 @@ func KindOf(err error) ErrorKind {
 		return e.Kind
 	}
 	return 0
+}
+
+// engineErr classifies an engine construction failure: symbolic inputs
+// aliasing one symbol are a type error of the explored program, anything
+// else an unusable engine configuration.
+func engineErr(err error) *Error {
+	if errors.Is(err, types.ErrAliasedInputs) {
+		return &Error{Kind: TypeError, Err: err}
+	}
+	return errKind(InvalidConfig, "", err)
 }
 
 // errKind builds an *Error, leaving already-classified errors intact (the

@@ -9,9 +9,10 @@
 //     locals without declarations keep the language compact),
 //   - expressions are well-typed (no int/bool mixing),
 //   - conditions of if/while/assert are boolean,
-//   - no variable is used with two different types,
-//   - no two symbolic inputs of a procedure (its parameters and the globals)
-//     share a symbol name (SymbolName).
+//   - no variable is used with two different types.
+//
+// CheckSymbolicInputs adds the one rule that depends on how a procedure is
+// explored: no two of its symbolic inputs share a symbol name (SymbolName).
 package types
 
 import (
@@ -42,8 +43,6 @@ type checker struct {
 	errs []error
 	// procs indexes procedures by name for call checking.
 	procs map[string]*ast.Procedure
-	// globalSyms maps each global's symbol name to the global.
-	globalSyms map[string]string
 }
 
 // Check validates the program and returns typing information.
@@ -54,8 +53,7 @@ func Check(prog *ast.Program) (*Info, error) {
 			Globals:  map[string]ast.Type{},
 			ProcVars: map[string]map[string]ast.Type{},
 		},
-		procs:      map[string]*ast.Procedure{},
-		globalSyms: map[string]string{},
+		procs: map[string]*ast.Procedure{},
 	}
 	c.checkGlobals()
 	seen := map[string]bool{}
@@ -85,7 +83,7 @@ func Check(prog *ast.Program) (*Info, error) {
 // the paper's convention (§2.1): variable x gets symbol X, PedalPos stays
 // PedalPos. Symbolic execution names a procedure's inputs this way, so two
 // inputs whose names differ only in the case of the first letter would
-// alias one symbol; Check rejects them.
+// alias one symbol; CheckSymbolicInputs rejects them.
 func SymbolName(varName string) string {
 	if varName == "" {
 		return varName
@@ -95,6 +93,41 @@ func SymbolName(varName string) string {
 		return string(c-'a'+'A') + varName[1:]
 	}
 	return varName
+}
+
+// ErrAliasedInputs is wrapped by the error CheckSymbolicInputs returns.
+var ErrAliasedInputs = errors.New("aliased symbolic inputs")
+
+// CheckSymbolicInputs rejects an exploration of proc whose symbolic inputs
+// share a symbol name: x and X both become symbol X, so exploring them as
+// one input would miss every path on which they differ. The inputs are
+// proc's parameters and, when globals is set, the program's globals (an
+// exploration with concrete globals binds them to their initializers
+// instead). Only the explored procedure counts: inlining renames a callee's
+// parameters to fresh locals. The error names both variables.
+func CheckSymbolicInputs(prog *ast.Program, proc *ast.Procedure, globals bool) error {
+	seen := map[string]string{} // symbol name -> variable
+	add := func(pos token.Pos, name string) error {
+		sn := SymbolName(name)
+		if other, clash := seen[sn]; clash && other != name {
+			return fmt.Errorf("%s: %w: %q and %q are both symbol %q", pos, ErrAliasedInputs, other, name, sn)
+		}
+		seen[sn] = name
+		return nil
+	}
+	if globals {
+		for _, g := range prog.Globals {
+			if err := add(g.Pos(), g.Name); err != nil {
+				return err
+			}
+		}
+	}
+	for _, p := range proc.Params {
+		if err := add(p.TokPos, p.Name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
@@ -120,12 +153,6 @@ func (c *checker) checkGlobals() {
 			c.errorf(g.Pos(), "global %q initializer must be a literal, found %s", g.Name, init)
 		}
 		c.info.Globals[g.Name] = g.Type
-		sn := SymbolName(g.Name)
-		if other, clash := c.globalSyms[sn]; clash {
-			c.errorf(g.Pos(), "globals %q and %q are both symbolic input %q", other, g.Name, sn)
-			continue
-		}
-		c.globalSyms[sn] = g.Name
 	}
 }
 
@@ -140,19 +167,12 @@ func (c *checker) checkProc(pr *ast.Procedure) {
 	for name, t := range c.info.Globals {
 		pc.vars[name] = t
 	}
-	paramSyms := map[string]string{}
 	for _, p := range pr.Params {
-		sn := SymbolName(p.Name)
 		if _, dup := pc.vars[p.Name]; dup {
 			// Parameter shadowing a global (or duplicate parameter) would make
 			// the Def/Use analysis ambiguous; reject it.
 			c.errorf(p.TokPos, "parameter %q shadows an existing variable", p.Name)
-		} else if g, clash := c.globalSyms[sn]; clash {
-			c.errorf(p.TokPos, "parameter %q and global %q are both symbolic input %q", p.Name, g, sn)
-		} else if q, clash := paramSyms[sn]; clash {
-			c.errorf(p.TokPos, "parameters %q and %q are both symbolic input %q", q, p.Name, sn)
 		}
-		paramSyms[sn] = p.Name
 		pc.vars[p.Name] = p.Type
 	}
 	// First pass: infer local variable types from assignments so that uses

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -129,42 +130,54 @@ proc b(bool f) { if (f) { G = 1; } }
 	}
 }
 
-// TestCheckRejectsAliasedSymbolicInputs pins that two symbolic inputs of a
-// procedure (parameters and globals) may not share a symbol name: x and X
-// both become symbol X, so symbolic execution would treat them as one input
-// and report a single path where two exist.
-func TestCheckRejectsAliasedSymbolicInputs(t *testing.T) {
+// TestCheckSymbolicInputs pins that two symbolic inputs of an explored
+// procedure may not share a symbol name: x and X both become symbol X, so
+// symbolic execution would treat them as one input and report a single path
+// where two exist. Globals count only when they are symbolic, and Check
+// itself accepts every program here: a procedure that is only inlined, or
+// explored with concrete globals, aliases nothing.
+func TestCheckSymbolicInputs(t *testing.T) {
 	cases := []struct {
 		name, src string
-		want      []string
+		// symbolicErr and concreteErr name the clashing variables when
+		// globals are symbolic and concrete; nil means accepted.
+		symbolicErr, concreteErr []string
 	}{
 		{"two parameters", `proc p(int x, int X) {
 			if (x > X) { y = 1; } else { y = 2; }
-		}`, []string{`"x"`, `"X"`}},
+		}`, []string{`"x"`, `"X"`}, []string{`"x"`, `"X"`}},
 		{"bool parameter and int global", `int X = 0;
-		proc p(bool x) { if (x) { X = 1; } }`, []string{`"x"`, `"X"`}},
+		proc p(bool x) { if (x) { X = 1; } }`, []string{`"X"`, `"x"`}, nil},
 		{"global and parameter", `int mode = 0;
-		proc p(int Mode) { mode = Mode; }`, []string{`"mode"`, `"Mode"`}},
+		proc p(int Mode) { mode = Mode; }`, []string{`"mode"`, `"Mode"`}, nil},
 		{"two globals", `int mode = 0;
 		int Mode = 1;
-		proc p() { mode = Mode; }`, []string{`"mode"`, `"Mode"`}},
+		proc p() { mode = Mode; }`, []string{`"mode"`, `"Mode"`}, nil},
+		{"distinct symbols", `int G = 0;
+		proc p(int x, int Y) { G = x + Y; }`, nil, nil},
 	}
-	for _, tc := range cases {
-		_, err := Check(mustParse(t, tc.src))
-		if err == nil {
-			t.Errorf("%s: Check accepted aliased symbolic inputs", tc.name)
-			continue
-		}
-		for _, w := range tc.want {
-			if !strings.Contains(err.Error(), w) {
-				t.Errorf("%s: error %q does not name %s", tc.name, err, w)
+	check := func(name string, prog *ast.Program, globals bool, want []string) {
+		t.Helper()
+		err := CheckSymbolicInputs(prog, prog.Proc("p"), globals)
+		switch {
+		case want == nil && err != nil:
+			t.Errorf("%s (symbolic globals %v): rejected: %v", name, globals, err)
+		case want != nil && !errors.Is(err, ErrAliasedInputs):
+			t.Errorf("%s (symbolic globals %v): got %v, want ErrAliasedInputs", name, globals, err)
+		case want != nil:
+			for _, w := range want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: error %q does not name %s", name, err, w)
+				}
 			}
 		}
 	}
-	// Distinct symbols stay legal, including a parameter already upper-case
-	// beside an unrelated lower-case one.
-	if _, err := Check(mustParse(t, `int G = 0;
-	proc p(int x, int Y) { G = x + Y; }`)); err != nil {
-		t.Errorf("Check rejected distinct symbolic inputs: %v", err)
+	for _, tc := range cases {
+		prog := mustParse(t, tc.src)
+		if _, err := Check(prog); err != nil {
+			t.Errorf("%s: Check rejected the program: %v", tc.name, err)
+		}
+		check(tc.name, prog, true, tc.symbolicErr)
+		check(tc.name, prog, false, tc.concreteErr)
 	}
 }

@@ -297,7 +297,8 @@ func New(prog *ast.Program, procName string, config Config) (*Engine, error) {
 // NewPrepared builds an engine from a program that the caller has already
 // type-checked and a CFG already built for proc. It skips the type check and
 // CFG construction of New — the point of the facade's parse/CFG cache — but
-// still rejects procedures with unexpanded calls. The graph may be shared
+// still rejects procedures with unexpanded calls or aliased symbolic inputs
+// (types.CheckSymbolicInputs). The graph may be shared
 // across engines provided its analyses were precomputed (cfg.Precompute).
 func NewPrepared(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) (*Engine, error) {
 	return build(prog, proc, g, config)
@@ -319,6 +320,9 @@ func CheckNoCalls(proc *ast.Procedure) error {
 func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) (*Engine, error) {
 	if err := CheckNoCalls(proc); err != nil {
 		return nil, err
+	}
+	if err := types.CheckSymbolicInputs(prog, proc, !config.ConcreteGlobals); err != nil {
+		return nil, fmt.Errorf("symexec: %w", err)
 	}
 	if _, err := strategyFor(config.Strategy); err != nil {
 		return nil, err

@@ -84,7 +84,10 @@ func (l *envLayout) bind(m map[string]sym.Expr) Env {
 // one chunk it writes and the spine, sharing every other chunk with the
 // receiver, so forked states share one Env value (a slice header copy) and
 // a write costs one chunk regardless of how many variables are in scope.
-// Names are stored once, in the layout, not per state.
+// The chunk and the spine are separate allocations, so an environment keeps
+// only its own chunks reachable, never one that a later write replaced: a
+// path's environment does not pin its write history. Names are stored once,
+// in the layout, not per state.
 //
 // An engine fixes one layout holding every variable its procedure can bind
 // (parameters, globals and assigned locals); a local not yet assigned is an
@@ -121,36 +124,12 @@ func (e Env) Set(name string, val sym.Expr) Env {
 	if old[off] == val {
 		return e // no-op write: share the whole environment
 	}
-	chunk, spine := newEnvBlock(len(e.spine))
+	chunk := new(envChunk)
 	*chunk = *old
 	chunk[off] = val
-	copy(spine, e.spine)
+	spine := slices.Clone(e.spine)
 	spine[ci] = chunk
 	return Env{layout: e.layout, spine: spine}
-}
-
-// newEnvBlock allocates a chunk and a spine of n entries. For layouts of up
-// to 16 chunks (128 slots) both live in one allocation of 160 or 256 bytes,
-// so a write is one allocation; wider layouts take two. A spine that shares
-// a chunk keeps the chunk's whole block reachable, stale spine included, so
-// a path's environment retains at most one block per write along the path:
-// like its trace list, a footprint proportional to depth.
-func newEnvBlock(n int) (*envChunk, []*envChunk) {
-	switch {
-	case n <= 4:
-		b := new(struct {
-			chunk envChunk
-			spine [4]*envChunk
-		})
-		return &b.chunk, b.spine[:n]
-	case n <= 16:
-		b := new(struct {
-			chunk envChunk
-			spine [16]*envChunk
-		})
-		return &b.chunk, b.spine[:n]
-	}
-	return new(envChunk), make([]*envChunk, n)
 }
 
 // relayout returns the environment's bindings over a layout extended by

@@ -3,8 +3,10 @@ package symexec
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 	"unsafe"
 
 	"dise/internal/sym"
@@ -163,6 +165,37 @@ func TestEnvSetCostIsOneChunk(t *testing.T) {
 	if large > small+spine {
 		t.Fatalf("Set allocates %d B on 512 bindings, %d B on 8: more than one chunk plus a %d B spine", large, small, spine)
 	}
+}
+
+// TestEnvKeepsOnlyItsOwnChunks pins that an environment does not pin its
+// write history: once the versions that held a chunk are gone, a later
+// version that replaced the chunk lets it be collected, even after writes to
+// other chunks in between. Paths that run deep loops keep their final
+// environments in the summary, so history kept there would grow with depth.
+func TestEnvKeepsOnlyItsOwnChunks(t *testing.T) {
+	freed := make(chan struct{})
+	latest := func() Env {
+		m := map[string]sym.Expr{}
+		for i := 0; i < 2*envChunkSize; i++ {
+			m[fmt.Sprintf("v%02d", i)] = sym.V(fmt.Sprintf("V%02d", i))
+		}
+		e1 := NewEnv(m).Set("v00", sym.Int(1))
+		runtime.SetFinalizer(e1.spine[0], func(*envChunk) { close(freed) })
+		e2 := e1.Set(fmt.Sprintf("v%02d", envChunkSize), sym.Int(2))
+		return e2.Set("v00", sym.Int(3))
+	}()
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-freed:
+			if v, _ := latest.Get("v00"); v != sym.Int(3) {
+				t.Fatalf("v00 = %v, want 3", v)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a chunk replaced by a later write stayed reachable from the latest environment")
 }
 
 // TestStateSizeClass pins State to the 112-byte allocation size class: every

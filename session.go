@@ -126,7 +126,7 @@ func (a *Analyzer) NewSession(ctx context.Context, req SessionRequest) (*Session
 		cfgc.Memo = s.tree
 		engine, err := symexec.NewPrepared(v.prog, v.proc, v.graph, cfgc)
 		if err != nil {
-			return nil, errKind(InvalidConfig, "", err)
+			return nil, engineErr(err)
 		}
 		engine.RunFull()
 		if err := engine.InterruptErr(); err != nil {
@@ -185,7 +185,7 @@ func (s *Session) Advance(ctx context.Context, nextSrc string) (*Result, error) 
 	cfgc.Memo = s.tree
 	engine, err := symexec.NewPrepared(next.prog, next.proc, next.graph, cfgc)
 	if err != nil {
-		return nil, errKind(InvalidConfig, "", err)
+		return nil, engineErr(err)
 	}
 
 	// Invalidate: translate the trie into the new version's key space,
